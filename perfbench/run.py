@@ -2,7 +2,7 @@
 
 Usage (from the repository root)::
 
-    python3 perfbench/run.py --workload ssb-serve --seed 1 --seconds 15 --trace 0
+    python3 perfbench/run.py --workload ssb-serve --seed 1 --seconds 14 --trace 0
 
 Replays seeded SSB traffic through ``repro.service.QueryService`` (see
 ``ssbbench/workloads.py``), checks every result, prints a report with every

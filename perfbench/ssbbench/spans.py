@@ -31,9 +31,9 @@ def _owner(point: WrapPoint):
     return module if point.owner is None else getattr(module, point.owner)
 
 
-def current_attributes(points=WRAP_POINTS) -> list[object]:
+def current_attributes() -> list[object]:
     """The raw attribute objects the wrap points currently hold."""
-    return [vars(_owner(point))[point.attr] for point in points]
+    return [vars(_owner(point))[point.attr] for point in WRAP_POINTS]
 
 
 class SpanRecorder:
@@ -42,7 +42,7 @@ class SpanRecorder:
     def __init__(self) -> None:
         self.spans: list[tuple] = []
         self.counts: Counter[str] = Counter()
-        #: Operation id stamped on every span that opens (set by the driver).
+        #: Operation id stamped on every span that opens (set by the client loop).
         self.op: str = ""
         self._ids = itertools.count()
         self._local = threading.local()
@@ -82,21 +82,16 @@ class SpanRecorder:
             return fn(*args, **kwargs)
         return wrapper
 
-    def _wrap(self, point: WrapPoint, original):
-        make = self._timed if point.kind == "timed" else self._counted
-        if isinstance(original, (staticmethod, classmethod)):
-            return type(original)(make(point.span, original.__func__))
-        return make(point.span, original)
-
     @contextmanager
-    def installed(self, points=WRAP_POINTS):
+    def installed(self):
         """Patch every wrap point for the block; restore them afterwards."""
         patched: list[tuple[object, str, object]] = []
         try:
-            for point in points:
+            for point in WRAP_POINTS:
                 owner = _owner(point)
                 original = vars(owner)[point.attr]
-                setattr(owner, point.attr, self._wrap(point, original))
+                make = self._timed if point.kind == "timed" else self._counted
+                setattr(owner, point.attr, make(point.span, original))
                 patched.append((owner, point.attr, original))
             yield self
         finally:

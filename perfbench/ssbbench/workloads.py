@@ -1,4 +1,4 @@
-"""The three SSB serving workloads and the closed-loop driver that runs them.
+"""The three SSB serving workloads and the closed-loop client that runs them.
 
 One client thread issues one operation at a time (a closed loop) through
 the public ``QueryService`` — plus ``repro.db.update.execute_update`` for
@@ -258,9 +258,6 @@ class TracedCounters:
 class RunResult:
     """Everything one run measured."""
 
-    workload: Workload
-    seed: int
-    units: int
     provenance: dict
     #: Calibrated and raw set-up walls, one per repeat.
     setup_s: list[float]
@@ -288,7 +285,7 @@ class RunResult:
         ]
 
 
-# --------------------------------------------------------------------- driver
+# --------------------------------------------------------------------- client
 def _reference(relation, query) -> dict:
     mask = evaluate_predicate(query.predicate, relation)
     return reference_group_aggregate(relation, mask, query.group_by, query.aggregates)
@@ -299,7 +296,7 @@ def _live_matches(stored, predicate) -> int:
     return int(mask.sum())
 
 
-class Driver:
+class Client:
     """Issues one workload's operation sequence on one client thread."""
 
     def __init__(self, workload: Workload, setup: Setup, seed: int,
@@ -581,7 +578,6 @@ def run(workload: Workload, seed: int, seconds: float, trace: bool,
         setup_s.append(setup.seconds * factor)
         raw_setup_s.append(setup.seconds)
     result = RunResult(
-        workload=workload, seed=seed, units=units,
         provenance=_provenance(workload, setup, seed, units, seconds),
         setup_s=setup_s, raw_setup_s=raw_setup_s, recorder=recorder,
         setup_ops=set(op_factors), op_factors=op_factors,
@@ -589,11 +585,11 @@ def run(workload: Workload, seed: int, seconds: float, trace: bool,
     if recorder is not None:
         recorder.counts.clear()       # counted calls cover the timed phase
     try:
-        driver = Driver(workload, setup, seed, result, recorder, probe)
-        result.cold_pass_s, _ = driver.template_pass(timed=False)
+        client = Client(workload, setup, seed, result, recorder, probe)
+        result.cold_pass_s, _ = client.template_pass(timed=False)
         previous = None
         for passes in range(1, MAX_WARMUP_PASSES + 1):
-            _, routes = driver.template_pass(timed=False)
+            _, routes = client.template_pass(timed=False)
             result.warmup_passes = passes
             if routes == previous:
                 result.warmup_converged = True
@@ -601,9 +597,9 @@ def run(workload: Workload, seed: int, seconds: float, trace: bool,
             previous = routes
         for index in range(units):
             if recorder is not None and index % 2 == 1:
-                driver.traced_unit()
+                client.traced_unit()
             else:
-                driver.unit()
+                client.unit()
     finally:
         setup.service.close()
     return result
