@@ -10,8 +10,9 @@ end-to-end metric by name, unit and sample count, and ends with one JSON
 line: ``{"correct", "attempted", "failed", "metrics"}``.  ``--trace 0``
 reports the end-to-end metrics ``BENCHMARK.json`` bounds; ``--trace 1``
 reports every per-layer metric from a run with the layer entry points
-wrapped, and writes its spans as JSONL under ``perfbench/out/``.  Exits 1
-on any failed operation or wrong result.
+wrapped, and writes its spans as JSONL under ``perfbench/out/``, next to
+a per-run result file with every metric and operation.  Exits 1 on any
+failed operation or wrong result.
 """
 
 from __future__ import annotations
@@ -98,6 +99,7 @@ def main(argv=None) -> int:
     for error in result.errors[:20]:
         print("FAILED " + error.strip().replace("\n", " | "))
 
+    OUT.mkdir(exist_ok=True)
     if args.trace:
         values, unreached = report.per_layer(result)
         units = {metric.name: metric.unit for metric in LAYER_TABLE}
@@ -109,7 +111,6 @@ def main(argv=None) -> int:
             for name, value in values.items()
         }
         reported = {**metrics, "unreached": unreached}
-        OUT.mkdir(exist_ok=True)
         spans = OUT / f"spans-{workload.name}-seed{args.seed}.jsonl"
         result.recorder.write_jsonl(spans)
         print(f"spans: {len(result.recorder.spans)} written to {spans}")
@@ -124,7 +125,6 @@ def main(argv=None) -> int:
             for name in report.GATED
         }
     correct = result.failed == 0
-    OUT.mkdir(exist_ok=True)
     detail = OUT / f"result-{workload.name}-seed{args.seed}-trace{args.trace}.json"
     detail.write_text(json.dumps({
         "provenance": provenance,
