@@ -31,27 +31,10 @@ sys.path[:0] = [str(ROOT / "src"), str(HERE)]
 
 import numpy as np  # noqa: E402
 
+from repro.experiments.emit import git_revision  # noqa: E402
 from ssbbench import report  # noqa: E402
 from ssbbench.layers import LAYER_TABLE  # noqa: E402
 from ssbbench.workloads import WORKLOADS, run  # noqa: E402
-
-
-def git_revision(root: Path = ROOT) -> str:
-    """The checked-out commit, read from ``.git`` (``unknown`` outside git)."""
-    git = root / ".git"
-    try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[5:]
-        if (git / ref).exists():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
 
 
 def parse_args(argv=None) -> argparse.Namespace:
@@ -60,10 +43,6 @@ def parse_args(argv=None) -> argparse.Namespace:
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    parser.add_argument("--scale-factor", type=float, default=None,
-                        help="override the workload's SSB scale factor")
-    parser.add_argument("--units", type=int, default=None,
-                        help="override the timed unit count")
     return parser.parse_args(argv)
 
 
@@ -81,14 +60,11 @@ def _fmt(metric: report.Metric) -> str:
 def main(argv=None) -> int:
     args = parse_args(argv)
     workload = WORKLOADS[args.workload]
-    if args.scale_factor is not None:
-        workload = dataclasses.replace(workload, scale_factor=args.scale_factor)
-    result = run(workload, args.seed, args.seconds, bool(args.trace),
-                 units=args.units)
+    result = run(workload, args.seed, args.seconds, bool(args.trace))
     provenance = {
         **result.provenance,
         "trace": args.trace,
-        "git_revision": git_revision(),
+        "git_revision": git_revision() or "unknown",
         "python": platform.python_version(),
         "numpy": np.__version__,
         "warmup_passes": result.warmup_passes,

@@ -88,7 +88,7 @@ def end_to_end(result) -> dict[str, Metric]:
         sum(op.sim_energy_j for op in ops), "J_modelled"
     )
     metrics["sim_max_writes_per_row"] = Metric(
-        max((op.max_writes for op in ops), default=0), "writes"
+        result.max_writes_per_row, "writes"
     )
     metrics["error_rate"] = Metric(
         _rate(result.failed, result.attempted), "fraction", result.attempted

@@ -5,7 +5,7 @@ the public ``QueryService`` — plus ``repro.db.update.execute_update`` for
 UPDATE, which the service has no entry point for.  A run is a fixed, seeded
 operation sequence:
 
-1. **set-up** ``setup_repeats`` times (generate, pre-join, crossbar load,
+1. **set-up** ``SETUP_REPEATS`` times (generate, pre-join, crossbar load,
    register); the last one is kept and the median is ``setup_s``.  The SSB
    database is a fixed fixture (``DATASET_SEED``); ``--seed`` drives the
    traffic: template orders, DML ranges, values and copied rows;
@@ -42,14 +42,10 @@ import numpy as np
 from repro import ssb
 from repro.config import DEFAULT_CONFIG
 from repro.core.batched import batch_kernel_cache_info
-from repro.core.latency_model import (
-    GroupByCostModel,
-    HostGbLatencyModel,
-    PimGbLatencyModel,
-)
 from repro.db import storage, update
 from repro.db.query import Comparison, evaluate_predicate, reference_group_aggregate
 from repro.experiments.common import PAPER_SCALE_FACTOR
+from repro.experiments.engine_wallclock import _all_pim_cost_model
 from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
 from repro.service import QueryService
@@ -60,6 +56,9 @@ from ssbbench.spans import SpanRecorder
 
 #: Median :meth:`SpeedProbe.measure` time on the reference 2-core host.
 PROBE_NOMINAL_S = 4.1e-3
+
+#: Set-ups per run; ``setup_s`` is their median.
+SETUP_REPEATS = 3
 
 #: Warm-up gives up (and says so in the report) after this many passes.
 MAX_WARMUP_PASSES = 8
@@ -101,7 +100,6 @@ class Workload:
     #: Wall of one timed unit on the reference 2-core host; converts
     #: ``--seconds`` into a unit count.
     nominal_unit_s: float = 3.0
-    setup_repeats: int = 3
 
     def timed_units(self, seconds: float) -> int:
         units = max(self.min_units, math.ceil(seconds / self.nominal_unit_s))
@@ -115,15 +113,15 @@ WORKLOADS: dict[str, Workload] = {
         Workload(
             "ssb-serve",
             "the path the service runs: fitted cost model, planner on, "
-            "ProgramCache(512) holds every program, so decode, host scan and "
-            "host aggregation dominate",
+            "ProgramCache(512) holds every program, so field decode, then "
+            "batched group-by charge replay, dominate the warm passes",
             scale_factor=0.05, nominal_unit_s=2.9,
         ),
         Workload(
             "ssb-allpim",
             "the paper's PIM-resident GROUP-BY: an all-PIM cost model whose "
-            "subgroup programs overflow ProgramCache(512), so compile, "
-            "lowering, kernels and charge replay dominate",
+            "subgroup programs overflow ProgramCache(512), so compilation, "
+            "charge replay and DAG lowering dominate",
             scale_factor=0.01, all_pim=True, nominal_unit_s=3.9,
         ),
         Workload(
@@ -135,18 +133,6 @@ WORKLOADS: dict[str, Workload] = {
         ),
     )
 }
-
-
-def all_pim_cost_model() -> GroupByCostModel:
-    """Routes every subgroup to PIM: host absurdly expensive, PIM free.
-
-    The same degenerate model ``repro.experiments.engine_wallclock`` uses
-    to force the paper's PIM-resident GROUP-BY regime.
-    """
-    return GroupByCostModel(
-        HostGbLatencyModel({2: 1.0}, {2: 1.0}),
-        PimGbLatencyModel({2: 0.0}, {2: 0.0}),
-    )
 
 
 class SpeedProbe:
@@ -209,7 +195,7 @@ def build(workload: Workload) -> Setup:
     service = QueryService()
     service.register(
         workload.name, stored,
-        cost_model=all_pim_cost_model() if workload.all_pim else None,
+        cost_model=_all_pim_cost_model() if workload.all_pim else None,
         timing_scale=timing_scale,
     )
     return Setup(service, stored, len(prejoined), timing_scale,
@@ -227,7 +213,6 @@ class Op:
     raw_wall_s: float
     sim_time_s: float = 0.0
     sim_energy_j: float = 0.0
-    max_writes: int = 0
     traced: bool = False
     #: The template name of a query; empty for DML.
     label: str = ""
@@ -263,6 +248,8 @@ class RunResult:
     setup_s: list[float]
     raw_setup_s: list[float]
     cold_pass_s: float = 0.0
+    #: Most writes any crossbar row took during the timed phase.
+    max_writes_per_row: int = 0
     warmup_passes: int = 0
     warmup_converged: bool = False
     ops: list[Op] = field(default_factory=list)
@@ -359,7 +346,6 @@ class Client:
             kind, *walls,
             stats.total_time_s if stats is not None else 0.0,
             stats.total_energy_j if stats is not None else 0.0,
-            stats.max_writes_per_row if stats is not None else 0,
             self._traced, label,
         ))
 
@@ -540,27 +526,30 @@ def _provenance(workload: Workload, setup: Setup, seed: int, units: int,
         "cpu_count": os.cpu_count(),
         "seconds": seconds,
         "timed_units": units,
-        "setup_repeats": workload.setup_repeats,
+        "setup_repeats": SETUP_REPEATS,
     }
 
 
-def run(workload: Workload, seed: int, seconds: float, trace: bool,
-        units: int | None = None) -> RunResult:
-    """Run one workload; ``units`` overrides the ``--seconds`` conversion.
+def _row_writes(service: QueryService) -> list[np.ndarray]:
+    """Cumulative per-row write counters of every partition's crossbars."""
+    return [p.writes for p in service.wear_report().partitions]
+
+
+def run(workload: Workload, seed: int, seconds: float, trace: bool) -> RunResult:
+    """Run one workload for ``Workload.timed_units(seconds)`` units.
 
     With ``trace`` the set-ups and every odd timed unit run with the wrap
     points patched; the even units run unpatched, and the two halves give
     ``trace.overhead``.  The untraced run patches nothing.
     """
-    if units is None:
-        units = workload.timed_units(seconds)
+    units = workload.timed_units(seconds)
     recorder = SpanRecorder() if trace else None
     probe = SpeedProbe()
     setup_s: list[float] = []
     raw_setup_s: list[float] = []
     op_factors: dict[str, float] = {}
     setup = None
-    for repeat in range(workload.setup_repeats):
+    for repeat in range(SETUP_REPEATS):
         if setup is not None:
             setup.service.close()
             setup = None
@@ -595,11 +584,17 @@ def run(workload: Workload, seed: int, seconds: float, trace: bool,
                 result.warmup_converged = True
                 break
             previous = routes
+        writes_before = _row_writes(setup.service)
         for index in range(units):
             if recorder is not None and index % 2 == 1:
                 client.traced_unit()
             else:
                 client.unit()
+        result.max_writes_per_row = max(
+            int((after - before).max())
+            for before, after in zip(writes_before, _row_writes(setup.service),
+                                     strict=True)
+        )
     finally:
         setup.service.close()
     return result

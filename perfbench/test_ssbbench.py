@@ -23,10 +23,28 @@ TINY_SF = 0.002
 TINY_UNITS = {"ssb-serve": 2, "ssb-allpim": 2, "ssb-churn": 8}
 
 
+def tiny(name: str, units: int | None = None):
+    """The workload at SF 0.002 with a few timed units at ``--seconds 0``."""
+    return replace(WORKLOADS[name], scale_factor=TINY_SF,
+                   min_units=units or TINY_UNITS[name])
+
+
+@pytest.fixture(autouse=True)
+def one_setup(monkeypatch):
+    monkeypatch.setattr(workloads, "SETUP_REPEATS", 1)
+
+
 def tiny_run(name: str, trace: bool = False):
-    workload = replace(WORKLOADS[name], scale_factor=TINY_SF, setup_repeats=1)
-    return workloads.run(workload, SEED, seconds=0, trace=trace,
-                         units=TINY_UNITS[name])
+    return workloads.run(tiny(name), SEED, seconds=0, trace=trace)
+
+
+def run_main(monkeypatch, name: str, units: int, trace: int) -> int:
+    """``run.main`` on the tiny workload, as the benchmark command runs it."""
+    monkeypatch.setattr(bench, "WORKLOADS", {name: tiny(name, units)})
+    return bench.main([
+        "--workload", name, "--seed", str(SEED), "--seconds", "0",
+        "--trace", str(trace),
+    ])
 
 
 def modelled(result) -> dict:
@@ -68,11 +86,9 @@ def test_churn_compacts_and_exercises_every_statement():
 
 
 @pytest.mark.parametrize("trace", [0, 1])
-def test_every_benchmark_metric_is_printed_with_its_unit(capsys, trace):
-    code = bench.main([
-        "--workload", "ssb-churn", "--seed", str(SEED), "--seconds", "1",
-        "--trace", str(trace), "--scale-factor", str(TINY_SF), "--units", "4",
-    ])
+def test_every_benchmark_metric_is_printed_with_its_unit(capsys, monkeypatch,
+                                                         trace):
+    code = run_main(monkeypatch, "ssb-churn", 4, trace)
     assert code == 0
     lines = capsys.readouterr().out.strip().splitlines()
     result = json.loads(lines[-1])
@@ -113,10 +129,7 @@ def test_wrappers_are_restored_when_the_block_raises():
 
 def test_wrong_rows_fail_the_run(capsys, monkeypatch):
     monkeypatch.setattr(workloads, "_reference", lambda relation, query: {})
-    code = bench.main([
-        "--workload", "ssb-serve", "--seed", str(SEED), "--seconds", "1",
-        "--trace", "0", "--scale-factor", str(TINY_SF), "--units", "1",
-    ])
+    code = run_main(monkeypatch, "ssb-serve", 1, 0)
     result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert code == 1
     assert not result["correct"] and result["failed"] > 0
