@@ -22,8 +22,9 @@ number or stored bit:
 
 * **One field decode per aggregate.**  The aggregation circuit's
   functional result is ``aggregate_reference`` over a decoded field and
-  the subgroup mask; the field does not change between subgroups, so it
-  is decoded once and reused for every subgroup.
+  the subgroup mask; the field does not change between subgroups, so the
+  packed bank's decode cache (:meth:`~repro.pim.packed.PackedCrossbarBank.read_field_all`)
+  serves every subgroup after the first from one decode.
 
 * **A cheap charging replay.**  Modelled statistics are *order-sensitive*
   (float accumulation, per-phase power samples, request rounding), so a
@@ -39,8 +40,10 @@ number or stored bit:
 
 from __future__ import annotations
 
-from functools import lru_cache
+import threading
+import weakref
 from collections.abc import Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -56,23 +59,63 @@ from repro.pim.ir import lower_program_batch
 from repro.pim.logic import Program, ProgramBuilder
 
 
-@lru_cache(maxsize=256)
+class BatchKernelCacheInfo(NamedTuple):
+    """Hit/miss counters and current size of the batch-kernel memo."""
+
+    hits: int
+    misses: int
+    currsize: int
+
+
+#: Batch kernels keyed by the *identities* of their programs (plus the
+#: private input columns).  Each value also holds one weak reference per
+#: program whose callback evicts the entry when that program is garbage
+#: collected; evicting drops the other references, so their callbacks never
+#: run.  The scatter pool compiles partitions from several threads, so
+#: lookups and counts take the lock; eviction runs inside garbage
+#: collection, which may fire while the lock is held, so it relies on the
+#: atomic ``dict.pop`` instead.
+_batch_kernels: dict[tuple, tuple[BatchKernel, list[weakref.ref]]] = {}
+_batch_counts = {"hits": 0, "misses": 0}
+_batch_lock = threading.Lock()
+
+
 def _compile_group_batch(
     programs: tuple[Program, ...], private_columns: tuple[int, ...]
 ) -> BatchKernel:
     """Compile (and memoise) the multi-output kernel of a program batch.
 
-    Programs hash by identity, which is exactly right: the service's
+    Programs are keyed by identity, which is exactly right: the service's
     :class:`~repro.service.cache.ProgramCache` hands back the *same*
-    program objects on a warm replay, so repeated batches hit this cache
-    without re-lowering, while fresh program objects recompile.
+    program objects on a warm replay, so repeated batches hit this memo
+    without re-lowering, while fresh program objects recompile.  The memo
+    holds no reference to the programs: an entry lives exactly as long as
+    every program of its batch, so programs the program cache evicted are
+    not pinned here.
     """
-    return compile_batch(lower_program_batch(programs, private_columns))
+    key = (tuple(map(id, programs)), private_columns)
+    with _batch_lock:
+        entry = _batch_kernels.get(key)
+        if entry is not None:
+            _batch_counts["hits"] += 1
+            return entry[0]
+        _batch_counts["misses"] += 1
+    kernel = compile_batch(lower_program_batch(programs, private_columns))
+
+    def forget(_ref) -> None:
+        _batch_kernels.pop(key, None)
+
+    refs = [weakref.ref(program, forget) for program in programs]
+    with _batch_lock:
+        _batch_kernels[key] = (kernel, refs)
+    return kernel
 
 
-def batch_kernel_cache_info():
+def batch_kernel_cache_info() -> BatchKernelCacheInfo:
     """Cache statistics of the batch-kernel compiler (for benchmarks)."""
-    return _compile_group_batch.cache_info()
+    return BatchKernelCacheInfo(
+        _batch_counts["hits"], _batch_counts["misses"], len(_batch_kernels)
+    )
 
 
 def _candidate_idx(prune, partition: int) -> np.ndarray | None:
@@ -274,10 +317,8 @@ def run_group_by_batched(
     )
 
     # ------------------------------------------------- batched bookkeeping
-    # Field decodes are shared across subgroups (the data fields do not
-    # change during the group-by), and subgroup membership of the selected
-    # rows is derived in one gather instead of one column sweep per key.
-    field_cache: dict[tuple[int, int], np.ndarray] = {}
+    # Subgroup membership of the selected rows is derived in one gather
+    # instead of one column sweep per key.
     selected = np.nonzero(mask)[0]
     if selected.size:
         columns = [
@@ -358,7 +399,8 @@ def run_group_by_batched(
         replay_apply(primary, combine_programs[index], subgroup_bits)
         mask_rows = _pad_rows(subgroup_bits, bank)
 
-        # Aggregates from the cached field decodes, charged per invocation.
+        # Aggregates from the bank's cached field decodes (the data fields do
+        # not change during the group-by), charged per invocation.
         entry: dict[str, int | None] = {}
         for aggregate in query.aggregates:
             if aggregate.op == "count":
@@ -368,11 +410,7 @@ def run_group_by_batched(
                 field_offset = primary_layout.field_offset(aggregate.attribute)
                 field_width = primary_layout.field_width(aggregate.attribute)
                 operation = aggregate.op
-                cache_key = (field_offset, field_width)
-                field_values = field_cache.get(cache_key)
-                if field_values is None:
-                    field_values = bank.read_field_all(field_offset, field_width)
-                    field_cache[cache_key] = field_values
+                field_values = bank.read_field_all(field_offset, field_width)
             partials = aggregate_reference(
                 field_values, mask_rows, operation, accumulator_width
             )

@@ -394,7 +394,8 @@ class PimExecutor:
         """Charge-only twin of :meth:`aggregate_with_circuit`.
 
         The batched group-by path computes every subgroup's aggregates from
-        one cached field decode, then replays the modelled cost of each
+        the bank's decode of the field (cached by the packed bank across
+        subgroups), then replays the modelled cost of each
         circuit invocation through here — identical time, energy, power
         samples, request counts and (with ``add_wear``) the ``result_width``
         write-back wear on row 0 that the reference's ``write_field_row``

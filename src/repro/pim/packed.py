@@ -11,7 +11,8 @@ machine word), which is exactly the row parallelism the hardware model
 assumes and makes the functional simulation 64x denser in memory and far
 cheaper per primitive than the boolean reference backend.
 
-Two invariants keep the backends interchangeable:
+Three invariants keep the backends interchangeable and the bank's decode
+cache sound:
 
 * **Bit exactness** — every method produces the same stored bits, decoded
   fields and error behaviour as :class:`CrossbarBank`; the padding bits of
@@ -22,6 +23,13 @@ Two invariants keep the backends interchangeable:
   report identical :class:`~repro.pim.stats.PimStats`.  The bank itself only
   maintains the same per-row ``writes_per_row`` counters as the boolean
   backend.
+* **Every write is stamped** — every mutation of ``words`` goes through a
+  method that advances the write stamp of the columns it writes.  That
+  makes :meth:`PackedCrossbarBank.read_field_all` safe to memoise: a cached
+  decode of a field is valid while none of its columns carries a newer
+  stamp.  Only a field read again with no write in between keeps its
+  decode (a field read once, like every field compaction copies, would
+  otherwise pin memory for nothing), and cached decodes are read-only.
 
 The backend is selected by :attr:`repro.config.SystemConfig.backend`
 (``"packed"`` by default, ``"bool"`` for the reference implementation) and
@@ -31,6 +39,7 @@ instantiated through :func:`make_bank` by
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Sequence
 
 import numpy as np
@@ -72,6 +81,15 @@ class PackedCrossbarBank:
         if spare:
             tail[-1] = np.uint64((1 << (_WORD_BITS - spare)) - 1)
         self._row_mask = tail
+        # Decode cache: a bank-wide write clock, the clock value of each
+        # column's last write, and per ``(offset, width)`` the clock at its
+        # last decode plus that decode — held weakly after the first read,
+        # strongly once the field is read again.
+        self._clock = 0
+        self._column_stamps = np.zeros(self.columns, dtype=np.int64)
+        self._decoded: dict[
+            tuple[int, int], tuple[int, np.ndarray | weakref.ref]
+        ] = {}
 
     # ------------------------------------------------------------------ misc
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -92,9 +110,19 @@ class PackedCrossbarBank:
     def _check_rows(self, rows) -> None:
         # Out-of-range rows must fail loudly (and before any mutation): the
         # word arithmetic would otherwise silently target padding bits.
-        rows = np.asarray(rows)
-        if rows.size and (np.any(rows < 0) or np.any(rows >= self.rows)):
+        # A single row, the per-record host store's case, skips NumPy.
+        if isinstance(rows, (int, np.integer)):
+            outside = not 0 <= rows < self.rows
+        else:
+            rows = np.asarray(rows)
+            outside = rows.size and (np.any(rows < 0) or np.any(rows >= self.rows))
+        if outside:
             raise ValueError(f"row index outside crossbar rows 0..{self.rows}")
+
+    def _stamp(self, columns: int | slice) -> None:
+        """Advance the write stamp of ``columns`` (call before mutating)."""
+        self._clock += 1
+        self._column_stamps[columns] = self._clock
 
     # ------------------------------------------------------- pack/unpack core
     def _unpack_columns(self, offset: int, width: int) -> np.ndarray:
@@ -112,6 +140,7 @@ class PackedCrossbarBank:
             (self.count, width, self.rows_words * 8), dtype=np.uint8
         )
         out[:, :, : packed.shape[-1]] = packed
+        self._stamp(slice(offset, offset + width))
         self.words[:, offset:offset + width, :] = out.view("<u8")
 
     @staticmethod
@@ -129,6 +158,7 @@ class PackedCrossbarBank:
             raise ValueError(f"value {value} does not fit in {width} bits")
         word, bit = row // _WORD_BITS, np.uint64(row % _WORD_BITS)
         mask = _ONE << bit
+        self._stamp(slice(offset, offset + width))
         current = self.words[xbar, offset:offset + width, word]
         self.words[xbar, offset:offset + width, word] = (
             (current & ~mask) | (self._value_bits(value, width) << bit)
@@ -166,14 +196,42 @@ class PackedCrossbarBank:
             self.writes_per_row += width
 
     def read_field_all(self, offset: int, width: int) -> np.ndarray:
-        """Decode a field from every row of every crossbar, ``(count, rows)``."""
+        """Decode a field from every row of every crossbar, ``(count, rows)``.
+
+        The result is read-only.  A field read again with no write to its
+        columns since the previous read keeps its decode — the previous
+        one, if its caller still holds it — and later reads return it until
+        one of those columns is written.
+        """
         self._check_field(offset, width)
+        key = (offset, width)
+        entry = self._decoded.get(key)
+        if entry is None or (
+            self._column_stamps[offset:offset + width].max() > entry[0]
+        ):
+            values = self._decode_field(offset, width)
+            self._decoded[key] = (self._clock, weakref.ref(values))
+            return values
+        cached = entry[1]
+        if isinstance(cached, np.ndarray):
+            return cached
+        values = cached()
+        if values is None:
+            values = self._decode_field(offset, width)
+        self._decoded[key] = (entry[0], values)
+        return values
+
+    def _decode_field(self, offset: int, width: int) -> np.ndarray:
         slab = self._unpack_columns(offset, width)          # (count, width, rows)
         bits = np.ascontiguousarray(slab.swapaxes(1, 2))    # (count, rows, width)
         packed = np.packbits(bits, axis=-1, bitorder="little")
-        out = np.zeros((self.count, self.rows, 8), dtype=np.uint8)
-        out[:, :, : packed.shape[-1]] = packed
-        return out.view("<u8")[:, :, 0]
+        # The result owns its memory, so every view a caller keeps of it
+        # also keeps it alive for the cache's weak reference.
+        values = np.zeros((self.count, self.rows), dtype="<u8")
+        octets = values.view(np.uint8).reshape(self.count, self.rows, 8)
+        octets[:, :, : packed.shape[-1]] = packed
+        values.setflags(write=False)
+        return values
 
     def read_column(self, column: int) -> np.ndarray:
         """Return one bit column of every crossbar, shape ``(count, rows)``."""
@@ -210,6 +268,7 @@ class PackedCrossbarBank:
             np.bitwise_or(acc, self.words[xbars, src, :], out=acc)
         np.invert(acc, out=acc)
         np.bitwise_and(acc, self._row_mask, out=acc)
+        self._stamp(dest)
         self.words[xbars, dest, :] = acc
         self.writes_per_row[xbars] += 1
 
@@ -218,6 +277,7 @@ class PackedCrossbarBank:
         xbars = np.asarray(xbars, dtype=np.int64)
         if xbars.size == 0:
             return
+        self._stamp(dest)
         if value:
             self.words[xbars, dest, :] = self._row_mask
         else:
@@ -250,6 +310,7 @@ class PackedCrossbarBank:
         """
         if column < 0 or column >= self.columns:
             raise ValueError(f"column {column} out of range")
+        self._stamp(column)
         if xbars is None:
             self.words[:, column, :] = value
         else:
@@ -295,11 +356,13 @@ class PackedCrossbarBank:
             np.bitwise_or(acc, self.words[:, src, :], out=acc)
         np.invert(acc, out=acc)
         np.bitwise_and(acc, self._row_mask, out=acc)
+        self._stamp(dest)
         self.words[:, dest, :] = acc
         self.writes_per_row += 1
 
     def set_column(self, dest: int, value: bool) -> None:
         """Initialise a column of every row to a constant (a bulk write)."""
+        self._stamp(dest)
         if value:
             self.words[:, dest, :] = self._row_mask
         else:
@@ -350,6 +413,7 @@ class PackedCrossbarBank:
             _ONE << (rows % _WORD_BITS).astype(np.uint64),
         )
         vbits = self._value_bits(value, width)              # (width,)
+        self._stamp(slice(offset, offset + width))
         sub = self.words[:, offset:offset + width, :]
         sub &= ~touched
         sub |= vbits[None, :, None] * touched[None, None, :]
@@ -382,6 +446,7 @@ class PackedCrossbarBank:
         mask = _ONE << bit
         shifts = np.arange(width, dtype=np.uint64)
         bits = (values[:, None] >> shifts[None, :]) & _ONE  # (targets, width)
+        self._stamp(slice(offset, offset + width))
         if xbars is None:
             current = self.words[:, offset:offset + width, word]
             self.words[:, offset:offset + width, word] = (

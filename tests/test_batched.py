@@ -11,16 +11,20 @@ test drives random data, selectivities, subgroup counts (K=1 and K=4),
 pruning, and one- vs two-partition layouts through batched and per-subgroup
 dispatch in lock step on both backends; deterministic tests pin the
 multi-remote fold path, the nested-safe scatter pool, the structural
-whole-plan memo key, and the pre-scatter empty-shard skip.
+whole-plan memo key, the pre-scatter empty-shard skip, and the lifetime of
+the batch-kernel memo.
 """
 
+import gc
 import threading
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.config import DEFAULT_CONFIG
+from repro.core import batched
 from repro.core.executor import PimQueryEngine
 from repro.core.latency_model import (
     GroupByCostModel,
@@ -32,6 +36,7 @@ from repro.db.query import Aggregate, And, Comparison, Query
 from repro.db.relation import Relation
 from repro.db.schema import Schema, dict_attribute, int_attribute
 from repro.db.storage import StoredRelation
+from repro.pim.logic import ProgramBuilder
 from repro.pim.module import PimModule
 from repro.pim.stats import PimStats
 from repro.sharding import ShardedQueryEngine, ShardedStoredRelation
@@ -305,3 +310,46 @@ def test_stats_totals_breakdown_tracks_every_field():
     assert other.totals() == totals
     other.add_time("filter", 1e-9)
     assert other.totals() != totals
+
+
+# ------------------------------------------------------- batch-kernel memo
+def _eq_program(value: int):
+    builder = ProgramBuilder(range(8, 16))
+    match = builder.eq_const((0, 1, 2), value)
+    builder.store(match, 4)
+    builder.free(match)
+    return builder.build(result_column=4)
+
+
+def test_batch_kernel_memo_lives_only_as_long_as_its_programs():
+    """The memo hits on the same program objects and never pins them."""
+    programs = tuple(_eq_program(value) for value in (1, 5, 6))
+    before = batched.batch_kernel_cache_info()
+    kernel = batched._compile_group_batch(programs, ())
+    assert batched._compile_group_batch(programs, ()) is kernel
+    after = batched.batch_kernel_cache_info()
+    assert (after.misses - before.misses, after.hits - before.hits) == (1, 1)
+    assert after.currsize == before.currsize + 1
+
+    key = (tuple(map(id, programs)), ())
+    refs = [weakref.ref(program) for program in programs]
+    del programs
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+    assert key not in batched._batch_kernels
+    assert batched.batch_kernel_cache_info().currsize == before.currsize
+
+
+def test_batch_kernel_memo_evicts_when_any_program_dies():
+    """One dead program evicts the entry; its surviving programs stay free."""
+    survivor, doomed = _eq_program(2), _eq_program(3)
+    batched._compile_group_batch((survivor, doomed), ())
+    key = ((id(survivor), id(doomed)), ())
+    assert key in batched._batch_kernels
+    del doomed
+    gc.collect()
+    assert key not in batched._batch_kernels
+    ref = weakref.ref(survivor)
+    del survivor
+    gc.collect()
+    assert ref() is None

@@ -8,12 +8,21 @@ program metadata only, identical :class:`~repro.pim.stats.PimStats` for every
 query execution.  This module locks all of that in:
 
 * a hypothesis property test drives random programs (NOR / init / field IO /
-  row copies / broadcast writes) against both backends in lock step;
+  row copies / broadcast writes / masked and fused-kernel writes, with field
+  reads interleaved) against both backends in lock step, which exercises the
+  packed bank's decode cache on first reads, hits and invalidation by every
+  write primitive;
+* unit tests pin the decode cache's promises: decodes are read-only, a
+  field read only once is not retained, and a write is seen by the next
+  read;
 * the 13 SSB queries run on both backends at K=1 and sharded K=4 and must
   produce bit-identical rows and bit-identical stats (the gate-level NOR
   path for a representative subset in the default tier, the full sweep
   behind the ``slow`` marker).
 """
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -33,6 +42,11 @@ from repro.ssb.prejoined import max_aggregated_width
 ROWS = 70          # crosses the 64-row word boundary
 COLUMNS = 48
 COUNT = 2
+
+#: The fields the lockstep ``read`` op decodes: few enough that reads repeat
+#: (cache hits), wide enough that every random write lands in one of them,
+#: and overlapping so one write invalidates two cached fields.
+READ_FIELDS = ((0, 24), (24, 24), (16, 16))
 
 #: Queries exercising the three execution shapes (scalar aggregate,
 #: pim-gb/host-gb mix, multi-attribute GROUP-BY) in the default tier.
@@ -67,11 +81,20 @@ def assert_stats_identical(a: PimStats, b: PimStats) -> None:
 
 # ------------------------------------------------------- random program ops
 def _apply(op, bank):
+    """Apply one op; a ``read`` op returns the decoded field."""
     kind = op[0]
+    if kind == "read":
+        return bank.read_field_all(op[1], op[2])
     if kind == "nor":
         bank.nor_columns(op[1], op[2])
+    elif kind == "nor_at":
+        bank.nor_columns_at(op[1], op[2], op[3])
     elif kind == "init":
         bank.set_column(op[1], op[2])
+    elif kind == "init_at":
+        bank.set_column_at(op[1], op[2], op[3])
+    elif kind == "kernel_write":
+        bank.kernel_write(op[1], bank.kernel_from_bool(op[2]), op[3])
     elif kind == "write_field":
         bank.write_field(op[1], op[2], op[3], op[4], op[5])
     elif kind == "write_field_column":
@@ -86,6 +109,7 @@ def _apply(op, bank):
         bank.write_field_row(op[1], op[2], op[3], op[4])
     else:  # pragma: no cover - defensive
         raise AssertionError(kind)
+    return None
 
 
 @st.composite
@@ -93,16 +117,32 @@ def bank_ops(draw):
     column = st.integers(0, COLUMNS - 1)
     row = st.integers(0, ROWS - 1)
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 31)))
-    kind = draw(st.sampled_from([
-        "nor", "init", "write_field", "write_field_column",
-        "write_bool_column", "copy_row_pairs", "write_field_rows",
-        "write_field_row",
+    # Reads make up about a third of the ops, so a write often falls
+    # between two reads of a field the bank has cached.
+    kind = draw(st.sampled_from(["read"] * 5 + [
+        "nor", "nor_at", "init", "init_at", "kernel_write",
+        "write_field", "write_field_column", "write_bool_column",
+        "copy_row_pairs", "write_field_rows", "write_field_row",
     ]))
+    if kind == "read":
+        return ("read", *draw(st.sampled_from(READ_FIELDS)))
+    xbars = np.sort(rng.permutation(COUNT)[: draw(st.integers(0, COUNT))])
     if kind == "nor":
         srcs = tuple(draw(st.lists(column, min_size=1, max_size=2)))
         return ("nor", draw(column), srcs)
+    if kind == "nor_at":
+        srcs = tuple(draw(st.lists(column, min_size=1, max_size=2)))
+        return ("nor_at", draw(column), srcs, xbars)
     if kind == "init":
         return ("init", draw(column), draw(st.booleans()))
+    if kind == "init_at":
+        return ("init_at", draw(column), draw(st.booleans()), xbars)
+    if kind == "kernel_write":
+        if draw(st.booleans()):
+            xbars = None
+        targets = COUNT if xbars is None else xbars.size
+        values = rng.integers(0, 2, (targets, ROWS)).astype(bool)
+        return ("kernel_write", draw(column), values, xbars)
     width = draw(st.integers(1, 12))
     offset = draw(st.integers(0, COLUMNS - width))
     if kind == "write_field":
@@ -130,15 +170,22 @@ def bank_ops(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(ops=st.lists(bank_ops(), min_size=1, max_size=12),
+@given(ops=st.lists(bank_ops(), min_size=1, max_size=20),
        probe=st.integers(0, 2 ** 31))
 def test_random_programs_bit_exact_across_backends(ops, probe):
-    """Random op sequences leave both backends in bit-identical states."""
+    """Random op sequences leave both backends in bit-identical states.
+
+    Every ``read`` op compares the decoded field at that point of the
+    sequence, so cached packed decodes are checked against the uncached
+    boolean reference after every kind of write.
+    """
     ref = CrossbarBank(COUNT, ROWS, COLUMNS)
     packed = PackedCrossbarBank(COUNT, ROWS, COLUMNS)
     for op in ops:
-        _apply(op, ref)
-        _apply(op, packed)
+        expected = _apply(op, ref)
+        decoded = _apply(op, packed)
+        if op[0] == "read":
+            assert np.array_equal(decoded, expected), op
     assert_banks_equal(ref, packed)
     rng = np.random.default_rng(probe)
     for _ in range(4):
@@ -150,6 +197,79 @@ def test_random_programs_bit_exact_across_backends(ops, probe):
         xbar, row = int(rng.integers(COUNT)), int(rng.integers(ROWS))
         assert ref.read_field(xbar, row, offset, width) == \
             packed.read_field(xbar, row, offset, width)
+
+
+# ------------------------------------------------------------- decode cache
+def _filled_bank() -> tuple[CrossbarBank, PackedCrossbarBank]:
+    values = np.random.default_rng(3).integers(0, 256, (COUNT, ROWS))
+    banks = CrossbarBank(COUNT, ROWS, COLUMNS), PackedCrossbarBank(COUNT, ROWS, COLUMNS)
+    for bank in banks:
+        bank.write_field_column(8, 8, values.astype(np.uint64))
+    return banks
+
+
+def test_cached_decode_is_read_only():
+    _, bank = _filled_bank()
+    first = bank.read_field_all(8, 8)
+    cached = bank.read_field_all(8, 8)
+    assert cached is first                          # still held: decoded once
+    assert bank.read_field_all(8, 8) is cached      # served from the cache
+    for values in (cached, cached.reshape(-1)):
+        assert not values.flags.writeable
+        with pytest.raises(ValueError):
+            values[0] = 1
+
+
+def test_field_read_once_then_overwritten_is_not_retained():
+    ref, bank = _filled_bank()
+    once = weakref.ref(bank.read_field_all(8, 8))
+    gc.collect()
+    assert once() is None                            # one read keeps nothing
+    bank.read_field_all(8, 8)
+    retained = weakref.ref(bank.read_field_all(8, 8))
+    gc.collect()
+    assert retained() is not None                    # a re-read is kept
+    for target in (ref, bank):
+        target.write_field_column(8, 8, np.zeros((COUNT, ROWS), dtype=np.uint64))
+    fresh = bank.read_field_all(8, 8)                # read once since the write
+    gc.collect()
+    assert retained() is None
+    assert np.array_equal(fresh, ref.read_field_all(8, 8))
+
+
+ONES = np.ones((COUNT, ROWS), dtype=bool)
+
+#: One op per write primitive, each setting bits of the all-zero field
+#: ``(8, 8)``; field ``(30, 8)`` holds all ones as a copy source.
+WRITES_INTO_FIELD = {
+    "write_field": ("write_field", 1, 65, 11, 1, 1),       # one row, one column
+    "write_field_column": ("write_field_column", 8, 8, ONES.astype(np.uint64)),
+    "write_bool_column": ("write_bool_column", 10, ONES),
+    "copy_row_pairs": ("copy_row_pairs", np.array([0]), np.array([5]), 30, 8, 8),
+    "write_field_rows": ("write_field_rows", np.array([3, 66]), 8, 8, 255),
+    "write_field_row": ("write_field_row", 2, 8, 8, np.array([1, 255], dtype=np.uint64)),
+    "nor": ("nor", 10, (0,)),
+    "nor_at": ("nor_at", 10, (0,), np.array([1])),
+    "init": ("init", 10, True),
+    "init_at": ("init_at", 10, True, np.array([0])),
+    "kernel_write": ("kernel_write", 10, ONES[:1], np.array([1])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRITES_INTO_FIELD))
+def test_cached_field_sees_every_write_primitive(kind):
+    """A write into one of a cached field's columns shows on the next read."""
+    ref, bank = CrossbarBank(COUNT, ROWS, COLUMNS), PackedCrossbarBank(COUNT, ROWS, COLUMNS)
+    for target in (ref, bank):
+        target.write_field_column(30, 8, np.full((COUNT, ROWS), 255, dtype=np.uint64))
+    bank.read_field_all(8, 8)
+    cached = bank.read_field_all(8, 8)               # retained from here on
+    assert not cached.any()
+    for target in (ref, bank):
+        _apply(WRITES_INTO_FIELD[kind], target)
+    after = bank.read_field_all(8, 8)
+    assert after.any()
+    assert np.array_equal(after, ref.read_field_all(8, 8))
 
 
 # ------------------------------------------------------------- unit checks
