@@ -1,11 +1,11 @@
-"""Engine wall-clock — batched group-by kernels vs the per-subgroup baseline.
+"""Engine wall-clock — batched group-by kernels vs the dispatch oracle.
 
-As a pytest benchmark this replays the 13 SSB queries warm under all three
-execution strategies (per-operation dispatch, per-subgroup fused, batched)
-with forced all-PIM GROUP-BY plans, gates bit-exact result rows and
-bit-identical :meth:`PimStats.totals` across the strategies, and gates a
->=2x wall-clock speedup (measured ~3x) for the batched strategy over the
-per-subgroup fused baseline on the GROUP-BY subset.  The thread-pooled
+As a pytest benchmark this replays the 13 SSB queries warm under both
+execution strategies (per-operation dispatch and batched) with forced
+all-PIM GROUP-BY plans, gates bit-exact result rows and bit-identical
+:meth:`PimStats.totals` across the strategies, and gates a >=2x wall-clock
+speedup for the batched strategy over the per-subgroup dispatch loop on the
+GROUP-BY subset.  The thread-pooled
 4-shard replay is always measured and recorded; its >1x gate applies only
 on multi-core hosts (``os.cpu_count() > 1``) — a single core serialises
 the pool by construction.  Writes the ``BENCH_engine.json`` trajectory
@@ -36,10 +36,10 @@ def test_engine_wallclock(benchmark, publish):
     assert results.bit_exact
     assert results.totals_identical
     # Acceptance gate on the GROUP-BY subset — the Amdahl residual the
-    # batched strategy exists for.  Measured ~3x at the default and the CI
-    # scale factor (per-query speedups 1.6-4.6x, growing with the subgroup
-    # count k), so the headroom over the 2x gate is real but not unlimited
-    # — investigate any regression rather than bumping the gate down.
+    # batched strategy exists for.  Since the packed bank caches field
+    # decodes, the dispatch loop is fast enough that this gate fails at the
+    # CI scale factor (about 0.8x); the gate stays where it is until the
+    # batched path is replaced — do not bump it down.
     assert results.group_by_speedup >= MIN_GROUP_BY_SPEEDUP
     # The pooled sharded replay must beat the sequential scatter outright on
     # multi-core hosts (batched kernels run inside NumPy with the GIL
@@ -65,8 +65,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--min-group-by-speedup", type=float, default=MIN_GROUP_BY_SPEEDUP,
-        help="fail unless the batched strategy beats the per-subgroup fused "
-             "baseline on the GROUP-BY subset by this factor (0 disables)",
+        help="fail unless the batched strategy beats the per-subgroup "
+             "dispatch loop on the GROUP-BY subset by this factor "
+             "(0 disables)",
     )
     parser.add_argument(
         "--min-scatter-speedup", type=float, default=MIN_SCATTER_SPEEDUP,

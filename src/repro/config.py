@@ -48,14 +48,13 @@ def default_backend() -> str:
 
 
 #: Program-execution strategies of the functional simulation.  ``"batched"``
-#: additionally fuses all per-subgroup group-mask programs of a partition
-#: into one multi-output DAG evaluated in a single pass (see
-#: :func:`repro.pim.ir.lower_program_batch`); ``"fused"`` lowers each
-#: compiled NOR program to an optimized DAG and evaluates it as whole-array
-#: NumPy expressions (see :mod:`repro.pim.fused`); ``"dispatch"`` is the
-#: op-by-op reference interpreter.  All three are bit-exact on the output
-#: columns and charge identical modelled statistics.
-EXECUTIONS = ("batched", "fused", "dispatch")
+#: is the fast path: each compiled NOR program runs as an optimized DAG of
+#: whole-array NumPy expressions (see :mod:`repro.pim.fused`), and the
+#: per-subgroup group-mask programs of a partition run as one multi-output
+#: DAG (see :func:`repro.pim.ir.lower_program_batch`).  ``"dispatch"`` is
+#: the oracle, the op-by-op reference interpreter.  Both are bit-exact on
+#: the output columns and charge identical modelled statistics.
+EXECUTIONS = ("batched", "dispatch")
 
 
 def validate_execution(execution: str, source: str = "execution=") -> str:
@@ -287,9 +286,9 @@ class SystemConfig:
     #: under this configuration.  Purely a simulator-speed knob: both
     #: backends are bit-exact and charge identical modelled statistics.
     backend: str = field(default_factory=default_backend)
-    #: Program-execution strategy: batched multi-output kernels, fused DAG
-    #: kernels, or op-by-op dispatch.  Like ``backend`` this is purely a
-    #: simulator-speed knob — all strategies are bit-exact and charge
+    #: Program-execution strategy: batched fused kernels (the fast path) or
+    #: op-by-op dispatch (the oracle).  Like ``backend`` this is purely a
+    #: simulator-speed knob — both strategies are bit-exact and charge
     #: identical modelled statistics.
     execution: str = field(default_factory=default_execution)
     #: Span tracing (see :mod:`repro.obs.trace`): engines and services built

@@ -26,7 +26,7 @@ Two further sections cover the fused kernel pipeline (PR 6):
 
 The bool-vs-packed sections pin the per-operation *dispatch* strategy —
 the regime the packed backend was introduced against — so their trajectory
-stays comparable across versions; the fused sections quantify the strategy
+stays comparable across versions; the fused sections quantify the kernel
 speedup separately.
 
 ``render`` produces the human-readable table and ``artifact`` the
@@ -205,7 +205,7 @@ def _timed_executions(engine) -> dict[str, tuple]:
 
 
 def _timed_service_batch(prejoined, config: SystemConfig):
-    service = QueryService(vectorized=True)
+    service = QueryService()
     stored = StoredRelation(
         prejoined, PimModule(config), label="ssb",
         aggregation_width=max_aggregated_width(prejoined),
@@ -352,10 +352,10 @@ def run_backend_speed(
     prejoined = build_ssb_prejoined(dataset.database)
     # The bool-vs-packed comparison isolates the data-*representation*
     # speedup, so both backends run the per-operation dispatch strategy the
-    # packed backend was introduced against (PR 3): under the fused default
-    # both backends collapse into a handful of whole-array expressions and
-    # the per-op overhead this section exists to compare disappears.  The
-    # fused-vs-dispatch strategy speedup is measured by the fused-replay
+    # packed backend was introduced against: under the batched default both
+    # backends collapse into a handful of whole-array expressions and the
+    # per-op overhead this section exists to compare disappears.  The
+    # fused-kernel vs dispatch speedup is measured by the fused-replay
     # section below, on the packed backend both sections share.
     configs = {
         backend: DEFAULT_CONFIG.with_backend(backend).with_execution("dispatch")

@@ -54,7 +54,6 @@ from repro.experiments import emit
 from repro.experiments.common import default_scale_factor
 from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
-from repro.planner.planner import RelationStatistics
 from repro.ssb import build_ssb_prejoined, generate
 from repro.ssb.prejoined import max_aggregated_width
 
@@ -249,17 +248,11 @@ def _fingerprint(execution) -> dict:
 def _cold_entries(engine: PimQueryEngine, query: Query) -> int:
     """Zone-map entries a cache-free cold walk checks for one predicate.
 
-    A fresh :class:`RelationStatistics` over the engine's *maintained* zone
-    maps, with the semantic cache disabled, bills the full two-level walk —
-    decoupling the entry count from the engine's cache state.
+    The uncached walk over the engine's *maintained* zone maps counts the
+    full two-level walk, decoupled from the engine's cache state.
     """
     stored = engine.stored
-    cold = RelationStatistics(
-        stored.statistics.zonemaps,
-        stored.statistics.selectivity,
-        semantic_cache=False,
-    )
-    decision = cold.plan(
+    decision = stored.statistics.cold_plan(
         query.predicate, stored.partition_attributes,
         engine.config.pim.crossbars_per_page,
     )

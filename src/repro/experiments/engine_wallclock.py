@@ -1,4 +1,4 @@
-"""Engine wall-clock: batched group-by kernels vs the per-subgroup baseline.
+"""Engine wall-clock: batched group-by kernels vs the dispatch oracle.
 
 The batched execution strategy (PR 8) evaluates every PIM-resident subgroup
 of a GROUP-BY through one multi-output fused kernel per vertical partition —
@@ -10,11 +10,12 @@ trade at engine granularity:
 
 * **equivalence** — every SSB query must produce bit-exact result rows and
   bit-identical :meth:`~repro.pim.stats.PimStats.totals` under the batched
-  strategy, the per-subgroup fused strategy (the PR 7 default) *and* the
-  per-operation dispatch strategy (the PR 3 reference);
-* **speed** — on the GROUP-BY queries (the Amdahl residual once filters
-  were fused), the warm batched replay must beat the per-subgroup fused
-  baseline by a measured factor (gated >=2x, target >=3x).
+  strategy and the per-operation dispatch strategy (the oracle);
+* **speed** — on the GROUP-BY queries, the warm batched replay must beat
+  the per-subgroup dispatch loop by a measured factor (gated >=2x).  With
+  vectorized engines and the packed bank's decode cache the dispatch
+  baseline is fast enough that this gate does not hold at the CI scale;
+  the ratio is reported either way.
 
 A further section times the thread-pool scatter of a warm sharded replay
 (``max_workers=4`` vs ``1`` over the same four shards).  The speedup is
@@ -54,12 +55,12 @@ from repro.sharding import ShardedQueryEngine, ShardedStoredRelation
 from repro.ssb import ALL_QUERIES, QUERY_ORDER, build_ssb_prejoined, generate
 from repro.ssb.prejoined import max_aggregated_width
 
-#: Execution strategies compared, in reporting order: the PR 3 per-operation
-#: reference, the PR 7 per-subgroup fused baseline, and the batched default.
-STRATEGIES = ("dispatch", "fused", "batched")
+#: Execution strategies compared, in reporting order: the per-operation
+#: oracle and the batched default.
+STRATEGIES = ("dispatch", "batched")
 
 #: The timed baseline the speedup is reported against.
-BASELINE = "fused"
+BASELINE = "dispatch"
 
 
 def _all_pim_cost_model() -> GroupByCostModel:
@@ -288,25 +289,24 @@ def render(results: EngineWallclockResults) -> str:
         f"Engine wall-clock, SSB SF={results.scale_factor} "
         f"({results.records} pre-joined records), warm replay x{results.repeats}, "
         f"all-PIM GROUP-BY plans",
-        f"{'query':<8} {'k':>3} {'dispatch [s]':>13} {'fused [s]':>10} "
+        f"{'query':<8} {'k':>3} {'dispatch [s]':>13} "
         f"{'batched [s]':>12} {'speedup':>8}  rows  totals",
     ]
     for q in results.queries:
         lines.append(
             f"{q.query:<8} {q.pim_subgroups:>3} "
-            f"{q.times_s['dispatch']:>13.4f} {q.times_s['fused']:>10.4f} "
-            f"{q.batched_s:>12.4f} {q.speedup:>7.1f}x  "
+            f"{q.baseline_s:>13.4f} {q.batched_s:>12.4f} {q.speedup:>7.1f}x  "
             f"{'ok' if q.rows_match else 'DIFF':<4}  "
             f"{'ok' if q.totals_match else 'DIFF'}"
         )
     gb = results.group_by_queries
     lines.append(
-        f"group-by subset ({len(gb)} queries): fused "
+        f"group-by subset ({len(gb)} queries): dispatch "
         f"{sum(q.baseline_s for q in gb):.4f}s / batched "
         f"{sum(q.batched_s for q in gb):.4f}s = {results.group_by_speedup:.1f}x"
     )
     lines.append(
-        f"all 13 queries: fused {sum(q.baseline_s for q in results.queries):.4f}s"
+        f"all 13 queries: dispatch {sum(q.baseline_s for q in results.queries):.4f}s"
         f" / batched {sum(q.batched_s for q in results.queries):.4f}s"
         f" = {results.overall_speedup:.1f}x"
     )
@@ -339,8 +339,7 @@ def artifact(results: EngineWallclockResults) -> dict:
                 "query": q.query,
                 "group_by": q.group_by,
                 "pim_subgroups": q.pim_subgroups,
-                "dispatch_s": q.times_s["dispatch"],
-                "fused_s": q.times_s["fused"],
+                "dispatch_s": q.baseline_s,
                 "batched_s": q.batched_s,
                 "speedup": q.speedup,
                 "rows_match": q.rows_match,

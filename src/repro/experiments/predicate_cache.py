@@ -1,24 +1,26 @@
-"""SSB template replay under DML churn — semantic candidate cache vs plan memo.
+"""SSB template replay under DML churn — semantic candidate cache vs cold walk.
 
 The semantic candidate-set cache's acceptance story: a serving workload
 replays the 13 SSB query templates round after round while the relation
 churns underneath (tombstoning DELETEs, slot-reusing INSERTs, Algorithm 1
-UPDATEs).  The PR 5 planner memo is wholesale-invalidated by *every*
-maintenance event, so each replay round pays the full zone-map walk again;
-the semantic cache keyed on normalized predicate fragments re-validates only
-the crossbars whose epochs the DML actually bumped — and a DELETE bumps
-none.
+UPDATEs).  Planning without a cache pays the full zone-map walk for every
+query of every round; the semantic cache keyed on normalized predicate
+fragments re-validates only the crossbars whose epochs the DML actually
+bumped — and a DELETE bumps none.
 
-The experiment runs the same deterministic workload through four engines —
-{legacy memo, semantic cache} x {packed, bool backend} — over identical
-copies of the generated pre-joined relation and gates on:
+The experiment runs the same deterministic workload through one engine per
+backend (packed and bool) over identical copies of the generated pre-joined
+relation, tallies the uncached
+:meth:`~repro.planner.planner.RelationStatistics.cold_plan` walk before each
+query as the baseline, and gates on:
 
-* **bit-exact rows** — every query, every round, legacy vs semantic and
-  packed vs bool;
-* **identical masks** — each round the semantic engine's cached decisions
-  are compared against a cold full walk over the same maintained zone maps;
+* **reference rows** — every query of every round equals
+  :func:`~repro.db.query.reference_group_aggregate` over the live relation,
+  and the two backends agree;
+* **identical masks** — each round the cached decisions are compared
+  against the cold walk over the same maintained zone maps;
 * **>= 5x fewer zone-map entries** consulted on the cached replay rounds
-  than the legacy memo bills for the same rounds.
+  than the cold walk checks for the same rounds.
 
 ``render`` produces the human-readable report and ``artifact`` the
 ``BENCH_pcache.json`` trajectory record consumed by CI.
@@ -34,7 +36,7 @@ import numpy as np
 from repro.config import DEFAULT_CONFIG
 from repro.core.executor import PimQueryEngine
 from repro.db import dml
-from repro.db.query import And, Comparison
+from repro.db.query import And, Comparison, evaluate_predicate, reference_group_aggregate
 from repro.db.relation import Relation
 from repro.db.storage import StoredRelation
 from repro.db.update import execute_update
@@ -42,13 +44,11 @@ from repro.experiments import emit
 from repro.experiments.common import default_scale_factor
 from repro.pim.controller import PimExecutor
 from repro.pim.module import PimModule
-from repro.planner.planner import RelationStatistics
 from repro.planner.zonemap import CHECK_CYCLES
 from repro.ssb import ALL_QUERIES, QUERY_ORDER, build_ssb_prejoined, generate
 from repro.ssb.prejoined import max_aggregated_width
 
 BACKENDS = ("packed", "bool")
-MODES = ("legacy", "semantic")
 
 #: Replay rounds after the cold first round; DML runs before each of them.
 DEFAULT_ROUNDS = 4
@@ -58,7 +58,7 @@ DEFAULT_ROUNDS = 4
 #: exploits.  The DELETE is deliberately *large* — it never bumps an epoch.
 DEFAULT_INSERTS_PER_ROUND = 8
 
-#: The acceptance gate on replay rounds (legacy entries / semantic entries).
+#: The acceptance gate on replay rounds (cold-walk entries / cached entries).
 MIN_ENTRY_REDUCTION = 5.0
 
 
@@ -67,8 +67,8 @@ def _generate_workload(
 ) -> list[dict]:
     """One concrete op list per replay round, replayed verbatim everywhere.
 
-    All ops are pure data (encoded records, predicates), so the four engines
-    see byte-identical DML.
+    All ops are pure data (encoded records, predicates), so both engines see
+    byte-identical DML.
     """
     rng = np.random.default_rng(seed)
     names = [a.name for a in relation.schema.attributes]
@@ -105,17 +105,21 @@ def _generate_workload(
 
 @dataclass
 class EngineReplayRun:
-    """One (backend, mode) engine's trip through the replay workload."""
+    """One backend's engine trip through the replay workload."""
 
     backend: str
-    mode: str
     wall_s: float
     #: Zone-map entries billed to the queries of each round (round 0 is the
     #: cold round; DML precedes every later round).
     round_entries: list[float] = field(default_factory=list)
+    #: Entries the uncached cold walk checks for the same queries, per round.
+    round_cold_walk_entries: list[float] = field(default_factory=list)
     #: Per-round, per-query result rows (encoded), for cross-run comparison.
     round_rows: list[list[dict]] = field(default_factory=list)
-    #: Candidate-cache counters at the end of the run (semantic mode only).
+    #: Executions whose rows equal the reference over the live relation.
+    reference_matches: int = 0
+    executions: int = 0
+    #: Candidate-cache counters at the end of the run.
     cache: dict | None = None
 
     @property
@@ -127,6 +131,15 @@ class EngineReplayRun:
         """Entries billed across the cached replay rounds (all but round 0)."""
         return float(sum(self.round_entries[1:]))
 
+    @property
+    def cold_walk_replay_entries(self) -> float:
+        """Entries the cold walk checks across the same replay rounds."""
+        return float(sum(self.round_cold_walk_entries[1:]))
+
+    @property
+    def rows_match_reference(self) -> bool:
+        return self.reference_matches == self.executions
+
 
 @dataclass
 class PredicateCacheResults:
@@ -136,46 +149,34 @@ class PredicateCacheResults:
     rounds: int
     inserts_per_round: int
     queries: list[str]
-    runs: list[EngineReplayRun] = field(default_factory=list)
-    #: Every cached/re-validated semantic decision matched a cold full walk
-    #: over the same maintained zone maps.
+    #: One run per backend, keyed by backend name.
+    runs: dict[str, EngineReplayRun] = field(default_factory=dict)
+    #: Every cached/re-validated decision matched a cold full walk over the
+    #: same maintained zone maps.
     masks_identical: bool = True
 
-    def run(self, backend: str, mode: str) -> EngineReplayRun:
-        for candidate in self.runs:
-            if candidate.backend == backend and candidate.mode == mode:
-                return candidate
-        raise KeyError(f"no run for {backend}/{mode}")
-
     @property
-    def modes_agree(self) -> bool:
-        """Legacy and semantic rows identical on every backend."""
-        return all(
-            self.run(b, "legacy").round_rows == self.run(b, "semantic").round_rows
-            for b in BACKENDS
-        )
+    def rows_match_reference(self) -> bool:
+        """Every execution on every backend equals the reference rows."""
+        return all(run.rows_match_reference for run in self.runs.values())
 
     @property
     def backends_agree(self) -> bool:
         """Rows identical across the simulation backends."""
-        reference = BACKENDS[0]
-        return all(
-            self.run(b, mode).round_rows == self.run(reference, mode).round_rows
-            for b in BACKENDS[1:]
-            for mode in MODES
-        )
+        reference = self.runs[BACKENDS[0]].round_rows
+        return all(self.runs[b].round_rows == reference for b in BACKENDS[1:])
 
     @property
     def bit_exact(self) -> bool:
-        return self.modes_agree and self.backends_agree
+        return self.rows_match_reference and self.backends_agree
 
     def entry_reduction(self, backend: str) -> float:
-        """Replay-round entry ratio, legacy memo over semantic cache."""
-        legacy = self.run(backend, "legacy").replay_entries
-        semantic = self.run(backend, "semantic").replay_entries
-        if semantic <= 0:
-            return float("inf") if legacy > 0 else 1.0
-        return legacy / semantic
+        """Replay-round entry ratio, cold walk over semantic cache."""
+        run = self.runs[backend]
+        cold, cached = run.cold_walk_replay_entries, run.replay_entries
+        if cached <= 0:
+            return float("inf") if cold > 0 else 1.0
+        return cold / cached
 
     def min_entry_reduction(self) -> float:
         return min(self.entry_reduction(b) for b in BACKENDS)
@@ -190,18 +191,17 @@ def _copy_relation(relation: Relation) -> Relation:
 
 
 def _build_engine(
-    relation: Relation, backend: str, mode: str, aggregation_width: int
+    relation: Relation, backend: str, aggregation_width: int
 ) -> PimQueryEngine:
     system = DEFAULT_CONFIG.with_backend(backend)
     module = PimModule(system)
     stored = StoredRelation(
-        relation, module, label=f"{mode}-{backend}",
+        relation, module, label=f"pcache-{backend}",
         aggregation_width=aggregation_width,
         reserve_bulk_aggregation=False,
     )
-    stored.statistics.semantic_cache = mode == "semantic"
     return PimQueryEngine(
-        stored, config=system, label=f"{mode}-{backend}",
+        stored, config=system, label=f"pcache-{backend}",
         vectorized=True, pruning=True,
     )
 
@@ -215,9 +215,8 @@ def _entries_billed(execution, engine: PimQueryEngine) -> float:
 def _masks_match_cold_walk(engine: PimQueryEngine, queries: list[str]) -> bool:
     """Compare the engine's cached decisions against a cold full walk.
 
-    The cold reference shares the *maintained* zone maps (a from-scratch
-    rebuild could legitimately have narrower bounds) but walks them without
-    any cache, exactly as PR 5 did.
+    The cold reference walks the *maintained* zone maps (a from-scratch
+    rebuild could legitimately have narrower bounds) without any cache.
     """
     stored = engine.stored
     crossbars_per_page = engine.config.pim.crossbars_per_page
@@ -227,11 +226,9 @@ def _masks_match_cold_walk(engine: PimQueryEngine, queries: list[str]) -> bool:
             predicate, stored.partition_attributes, crossbars_per_page,
             peek=True,
         )
-        cold = RelationStatistics(
-            stored.statistics.zonemaps,
-            stored.statistics.selectivity,
-            semantic_cache=False,
-        ).plan(predicate, stored.partition_attributes, crossbars_per_page)
+        cold = stored.statistics.cold_plan(
+            predicate, stored.partition_attributes, crossbars_per_page
+        )
         if len(cached.candidates) != len(cold.candidates):
             return False
         if not all(
@@ -261,29 +258,41 @@ def _run_engine(
 ) -> bool:
     """Replay the workload through one engine; returns the mask verdict."""
     pim = _build_engine(
-        _copy_relation(prejoined), engine.backend, engine.mode,
-        aggregation_width,
+        _copy_relation(prejoined), engine.backend, aggregation_width
     )
+    stored = pim.stored
+    crossbars_per_page = pim.config.pim.crossbars_per_page
     masks_ok = True
     start = time.perf_counter()
     for round_index in range(len(workload) + 1):
         if round_index > 0:
             _apply_dml(pim, workload[round_index - 1])
-        entries = 0.0
+        live = stored.live_relation()
+        entries = cold_walk_entries = 0.0
         rows: list[dict] = []
         for name in queries:
-            execution = pim.execute(ALL_QUERIES[name])
+            query = ALL_QUERIES[name]
+            cold_walk_entries += stored.statistics.cold_plan(
+                query.predicate, stored.partition_attributes,
+                crossbars_per_page,
+            ).entries_checked
+            execution = pim.execute(query)
             entries += _entries_billed(execution, pim)
+            expected = reference_group_aggregate(
+                live, evaluate_predicate(query.predicate, live),
+                query.group_by, query.aggregates,
+            )
+            engine.executions += 1
+            engine.reference_matches += int(execution.rows == expected)
             rows.append(
                 {str(k): dict(v) for k, v in sorted(execution.rows.items())}
             )
         engine.round_entries.append(entries)
+        engine.round_cold_walk_entries.append(cold_walk_entries)
         engine.round_rows.append(rows)
-        if engine.mode == "semantic":
-            masks_ok = masks_ok and _masks_match_cold_walk(pim, queries)
+        masks_ok = masks_ok and _masks_match_cold_walk(pim, queries)
     engine.wall_s = time.perf_counter() - start
-    if engine.mode == "semantic":
-        engine.cache = asdict(pim.stored.statistics.candidate_stats())
+    engine.cache = asdict(stored.statistics.candidate_stats())
     return masks_ok
 
 
@@ -294,7 +303,7 @@ def run_predicate_cache(
     seed: int = 23,
     queries: list[str] | None = None,
 ) -> PredicateCacheResults:
-    """Replay the SSB templates under churn on every (backend, mode) engine."""
+    """Replay the SSB templates under churn on one engine per backend."""
     if scale_factor is None:
         scale_factor = default_scale_factor()
     if queries is None:
@@ -311,13 +320,12 @@ def run_predicate_cache(
         queries=queries,
     )
     for backend in BACKENDS:
-        for mode in MODES:
-            run = EngineReplayRun(backend=backend, mode=mode, wall_s=0.0)
-            masks_ok = _run_engine(
-                run, prejoined, workload, queries, aggregation_width
-            )
-            results.masks_identical = results.masks_identical and masks_ok
-            results.runs.append(run)
+        run = EngineReplayRun(backend=backend, wall_s=0.0)
+        masks_ok = _run_engine(
+            run, prejoined, workload, queries, aggregation_width
+        )
+        results.masks_identical = results.masks_identical and masks_ok
+        results.runs[backend] = run
     return results
 
 
@@ -328,33 +336,37 @@ def render(results: PredicateCacheResults) -> str:
         f"{len(results.queries)} SSB templates x {results.rounds} replay "
         f"rounds, {results.inserts_per_round} inserts + range DELETE + "
         f"point UPDATE per round",
-        f"{'backend':<8} {'mode':<9} {'cold entries':>13} "
-        f"{'replay entries':>15} {'wall [s]':>9}",
+        f"{'backend':<8} {'cold entries':>13} {'replay entries':>15} "
+        f"{'cold-walk replay':>17} {'wall [s]':>9}",
     ]
-    for run in results.runs:
+    for run in results.runs.values():
         lines.append(
-            f"{run.backend:<8} {run.mode:<9} {run.cold_entries:>13.0f} "
-            f"{run.replay_entries:>15.0f} {run.wall_s:>9.3f}"
+            f"{run.backend:<8} {run.cold_entries:>13.0f} "
+            f"{run.replay_entries:>15.0f} "
+            f"{run.cold_walk_replay_entries:>17.0f} {run.wall_s:>9.3f}"
         )
     for backend in BACKENDS:
         lines.append(
             f"{backend}: replay zone-map entries cut "
-            f"{results.entry_reduction(backend):.1f}x (gate "
+            f"{results.entry_reduction(backend):.1f}x vs the cold walk (gate "
             f">= {MIN_ENTRY_REDUCTION:.0f}x)"
         )
-    for run in results.runs:
-        if run.cache is not None:
-            c = run.cache
-            lines.append(
-                f"{run.backend} candidate cache: {c['hits']} hits / "
-                f"{c['misses']} misses / {c['revalidations']} re-validations "
-                f"({c['stale_crossbars']} stale crossbars re-checked), "
-                f"{c['evictions']} evictions"
-            )
+    for run in results.runs.values():
+        c = run.cache
+        lines.append(
+            f"{run.backend} candidate cache: {c['hits']} hits / "
+            f"{c['misses']} misses / {c['revalidations']} re-validations "
+            f"({c['stale_crossbars']} stale crossbars re-checked), "
+            f"{c['evictions']} evictions"
+        )
+    matches = ", ".join(
+        f"{run.backend} {run.reference_matches}/{run.executions}"
+        for run in results.runs.values()
+    )
     lines.append(
         f"bit-exact rows: {'yes' if results.bit_exact else 'NO'} "
-        f"(modes agree: {'yes' if results.modes_agree else 'NO'}, backends "
-        f"agree: {'yes' if results.backends_agree else 'NO'}); cached masks "
+        f"(rows == reference: {matches}; backends agree: "
+        f"{'yes' if results.backends_agree else 'NO'}); cached masks "
         f"== cold walk: {'yes' if results.masks_identical else 'NO'}"
     )
     return "\n".join(lines)
@@ -368,8 +380,9 @@ def artifact(results: PredicateCacheResults) -> dict:
         "rounds": results.rounds,
         "inserts_per_round": results.inserts_per_round,
         "queries": list(results.queries),
+        "baseline": "cold_plan",
         "bit_exact": results.bit_exact,
-        "modes_agree": results.modes_agree,
+        "rows_match_reference": results.rows_match_reference,
         "backends_agree": results.backends_agree,
         "masks_identical": results.masks_identical,
         "min_entry_reduction": (
@@ -386,14 +399,17 @@ def artifact(results: PredicateCacheResults) -> dict:
         "runs": [
             {
                 "backend": run.backend,
-                "mode": run.mode,
                 "wall_s": run.wall_s,
                 "cold_entries": run.cold_entries,
                 "replay_entries": run.replay_entries,
                 "round_entries": list(run.round_entries),
+                "cold_walk_replay_entries": run.cold_walk_replay_entries,
+                "round_cold_walk_entries": list(run.round_cold_walk_entries),
+                "reference_matches": run.reference_matches,
+                "executions": run.executions,
                 "cache": run.cache,
             }
-            for run in results.runs
+            for run in results.runs.values()
         ],
     }
 
@@ -407,7 +423,7 @@ def write_artifact(results: PredicateCacheResults, path) -> None:
         gates={
             "bit_exact": results.bit_exact,
             "masks_identical": results.masks_identical,
-            "modes_agree": results.modes_agree,
+            "rows_match_reference": results.rows_match_reference,
             "backends_agree": results.backends_agree,
         },
     )

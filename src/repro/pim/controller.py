@@ -55,12 +55,12 @@ class PimExecutor:
         #: attribute to the enclosing stage span through the stats hook.
         self.tracer = tracer if tracer is not None else NULL_TRACER
         # Program-execution strategy, resolved once.  ``batched`` runs
-        # individual programs fused and additionally batches the per-subgroup
-        # group-mask programs into multi-output kernels (see
-        # :meth:`repro.core.executor.PimQueryEngine._execute_group_by`).
-        # All strategies are bit-exact on program outputs and all costs are
-        # charged from program metadata either way.
-        self._fused = config.execution in ("fused", "batched")
+        # individual programs through their fused kernels and batches the
+        # per-subgroup group-mask programs into multi-output kernels (see
+        # :meth:`repro.core.executor.PimQueryEngine._execute_group_by`);
+        # otherwise every program is dispatched op by op.  Both are
+        # bit-exact on program outputs and all costs are charged from
+        # program metadata either way.
         self.batched = config.execution == "batched"
 
     def fork(self, stats: PimStats | None = None) -> PimExecutor:
@@ -137,7 +137,7 @@ class PimExecutor:
         phase: str = "filter",
     ) -> None:
         """Execute a NOR program on every crossbar of ``pages`` pages."""
-        if self._fused:
+        if self.batched:
             program.run_fused(bank)
         else:
             program.execute(bank)
@@ -197,7 +197,7 @@ class PimExecutor:
             raise ValueError("pruned execution needs a program result column")
         candidate_idx = np.nonzero(np.asarray(candidates, dtype=bool))[0]
         if candidate_idx.size:
-            if self._fused:
+            if self.batched:
                 program.run_fused(bank, candidate_idx)
             else:
                 program.execute_at(bank, candidate_idx)
@@ -259,7 +259,7 @@ class PimExecutor:
         candidate_idx = np.nonzero(np.asarray(candidates, dtype=bool))[0]
         if not candidate_idx.size:
             return
-        if self._fused:
+        if self.batched:
             program.run_fused(bank, candidate_idx)
         else:
             program.execute_at(bank, candidate_idx)
@@ -457,7 +457,7 @@ class PimExecutor:
         """
         cost = plan.cost()
         if gate_level:
-            results = plan.run_gate_level(bank, fused=self._fused)
+            results = plan.run_gate_level(bank, fused=self.batched)
         else:
             results = plan.run_functional(bank)
             bank.writes_per_row += cost.writes_per_row

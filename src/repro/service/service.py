@@ -12,7 +12,7 @@ batches):
 
 * a shared :class:`~repro.service.cache.ProgramCache` — repeated WHERE
   clauses and pim-gb subgroup filters skip ``compile_predicate`` entirely;
-* the engines run with ``vectorized=True`` by default, replacing the
+* the engines always run with ``vectorized=True``, replacing the
   NOR-by-NOR functional simulation of filter and group-mask programs with
   single NumPy passes that are bit-exact and charge identical modelled costs
   (see :mod:`repro.core.stages`).
@@ -117,7 +117,6 @@ class QueryService:
     def __init__(
         self,
         cache_capacity: int = 512,
-        vectorized: bool = True,
         cache: ProgramCache | None = None,
         pruning: bool = True,
         planner: bool = True,
@@ -129,9 +128,6 @@ class QueryService:
 
         Args:
             cache_capacity: Capacity of the shared compiled-program cache.
-            vectorized: Run the registered engines with the vectorized
-                (bit-exact, cost-identical) host paths; disable to force the
-                gate-level NOR simulation everywhere.
             cache: Share an existing :class:`ProgramCache` between services.
             pruning: Run the registered engines with zone-map crossbar
                 skipping (bit-exact; see :mod:`repro.planner`).
@@ -155,7 +151,6 @@ class QueryService:
                 defaults to the path named by ``REPRO_TRACE`` (if any).
         """
         self.cache = cache if cache is not None else ProgramCache(cache_capacity)
-        self.vectorized = bool(vectorized)
         self.pruning = bool(pruning)
         self.planner_enabled = bool(planner)
         self.pool = ScatterPool(scatter_workers)
@@ -184,10 +179,9 @@ class QueryService:
     ) -> PimQueryEngine:
         """Register a stored relation and build its engine.
 
-        The engine shares the service's program cache and, unless the
-        service was created with ``vectorized=False``, uses the vectorized
-        host paths.  The first registered relation becomes the default
-        target for requests that do not name one.
+        The engine shares the service's program cache and uses the
+        vectorized host paths.  The first registered relation becomes the
+        default target for requests that do not name one.
         """
         self._check_name_free(name)
         engine = PimQueryEngine(
@@ -198,7 +192,7 @@ class QueryService:
             sample_pages=sample_pages,
             timing_scale=timing_scale,
             compiler=self.cache,
-            vectorized=self.vectorized,
+            vectorized=True,
             pruning=self.pruning,
             scatter_pool=self.pool,
             tracer=self.tracer,
@@ -275,7 +269,7 @@ class QueryService:
             sample_pages=sample_pages,
             timing_scale=timing_scale,
             compiler=self.cache,
-            vectorized=self.vectorized,
+            vectorized=True,
             pruning=self.pruning,
             max_workers=max_workers,
             planner=self._planner if self.planner_enabled else None,
@@ -552,7 +546,7 @@ class QueryService:
                     engine.sharded, predicate,
                     executors=executors,
                     compiler=self.cache,
-                    vectorized=self.vectorized,
+                    vectorized=True,
                 )
             else:
                 compiled = dml.compile_delete(
@@ -560,7 +554,7 @@ class QueryService:
                 )
                 result = dml.execute_delete(
                     engine.stored, predicate, executors[0],
-                    compiled=compiled, vectorized=self.vectorized,
+                    compiled=compiled, vectorized=True,
                 )
             self._dml_counters[name]["deleted"] += result.records_deleted
             if self.tracer.enabled:

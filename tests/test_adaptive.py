@@ -445,7 +445,7 @@ def _churn_relation(seed: int) -> Relation:
 def _build_service(backend: str, shards: int, seed: int):
     from repro.service import QueryService
 
-    service = QueryService(vectorized=True)
+    service = QueryService()
     relation = _churn_relation(seed)
     if shards == 1:
         system = DEFAULT_CONFIG.with_backend(backend)

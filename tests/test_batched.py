@@ -16,6 +16,7 @@ the batch-kernel memo.
 """
 
 import gc
+import re
 import threading
 import weakref
 
@@ -178,6 +179,18 @@ def test_batched_is_the_default_and_gated_on_the_circuit(monkeypatch):
         executions[strategy] = engine.execute(GROUP_QUERY)
     assert executions["batched"].rows == executions["dispatch"].rows
     assert executions["batched"].stats == executions["dispatch"].stats
+
+
+def test_fused_is_not_an_execution_strategy(monkeypatch):
+    """Only the fast path and the oracle are selectable."""
+    from repro.config import SystemConfig, default_execution
+
+    choices = re.escape("('batched', 'dispatch')")
+    monkeypatch.setenv("REPRO_EXECUTION", "fused")
+    with pytest.raises(ValueError, match=rf"REPRO_EXECUTION='fused'.*{choices}"):
+        default_execution()
+    with pytest.raises(ValueError, match=rf"execution='fused'.*{choices}"):
+        SystemConfig(execution="fused")
 
 
 # --------------------------------------------------------------- scatter pool

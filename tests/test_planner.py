@@ -37,7 +37,6 @@ from repro.planner import (
     execute_host_scan,
     normalize_fragment,
 )
-from repro.planner.planner import RelationStatistics
 from repro.planner.selectivity import SelectivityModel
 from repro.planner.zonemap import ZoneMaps
 from repro.service import QueryService
@@ -526,22 +525,19 @@ def test_decision_masks_are_read_only_and_memo_uncorrupted():
     in place would silently corrupt every later replay of the predicate.
     """
     cp = DEFAULT_CONFIG.pim.crossbars_per_page
-    for semantic in (True, False):
-        stored = _store(clustered_relation())
-        stored.statistics.semantic_cache = semantic
-        decision = stored.statistics.plan(
-            RANGE.predicate, stored.partition_attributes, cp
-        )
-        with pytest.raises(ValueError):
-            decision.candidates[0][:] = False
-        replay = stored.statistics.plan(
-            RANGE.predicate, stored.partition_attributes, cp
-        )
-        cold = RelationStatistics(
-            stored.statistics.zonemaps, stored.statistics.selectivity,
-            semantic_cache=False,
-        ).plan(RANGE.predicate, stored.partition_attributes, cp)
-        assert np.array_equal(replay.candidates[0], cold.candidates[0])
+    stored = _store(clustered_relation())
+    decision = stored.statistics.plan(
+        RANGE.predicate, stored.partition_attributes, cp
+    )
+    with pytest.raises(ValueError):
+        decision.candidates[0][:] = False
+    replay = stored.statistics.plan(
+        RANGE.predicate, stored.partition_attributes, cp
+    )
+    cold = stored.statistics.cold_plan(
+        RANGE.predicate, stored.partition_attributes, cp
+    )
+    assert np.array_equal(replay.candidates[0], cold.candidates[0])
 
 
 def test_candidate_cache_counters_and_replay_billing():
@@ -555,6 +551,22 @@ def test_candidate_cache_counters_and_replay_billing():
     assert cold.entries_checked > 0
     assert after_cold.misses > 0 and after_cold.hits == 0
 
+    replay = statistics.plan(RANGE.predicate, stored.partition_attributes, cp)
+    assert replay.entries_checked == 0
+    assert np.array_equal(replay.candidates[0], cold.candidates[0])
+
+
+def test_cold_plan_has_no_side_effects():
+    """The uncached reference walk leaves billing and cache counters alone."""
+    stored = _store(clustered_relation())
+    statistics = stored.statistics
+    cp = DEFAULT_CONFIG.pim.crossbars_per_page
+    statistics.plan(RANGE.predicate, stored.partition_attributes, cp)
+    before = statistics.candidate_stats()
+
+    cold = statistics.cold_plan(RANGE.predicate, stored.partition_attributes, cp)
+    assert cold.entries_checked > 0
+    assert statistics.candidate_stats() == before
     replay = statistics.plan(RANGE.predicate, stored.partition_attributes, cp)
     assert replay.entries_checked == 0
     assert np.array_equal(replay.candidates[0], cold.candidates[0])
@@ -581,9 +593,9 @@ def test_insert_bumps_only_the_touched_crossbar_epoch():
     # fragment -- far below the cold walk's pages + surviving * cp entries.
     assert 0 < revalidated.entries_checked <= delta.revalidations
     assert delta.stale_crossbars == revalidated.entries_checked
-    cold = RelationStatistics(
-        statistics.zonemaps, statistics.selectivity, semantic_cache=False
-    ).plan(RANGE.predicate, stored.partition_attributes, cp)
+    cold = statistics.cold_plan(
+        RANGE.predicate, stored.partition_attributes, cp
+    )
     assert revalidated.entries_checked < cold.entries_checked
     assert np.array_equal(revalidated.candidates[0], cold.candidates[0])
 

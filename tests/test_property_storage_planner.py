@@ -20,7 +20,6 @@ from repro.db.schema import Schema, int_attribute
 from repro.db.storage import StoredRelation
 from repro.db.update import execute_update
 from repro.pim.module import PimModule
-from repro.planner.planner import RelationStatistics
 from repro.service import QueryService
 from repro.sharding import execute_sharded_update
 
@@ -174,10 +173,7 @@ def _assert_cached_plan_matches_cold_walk(service, shards) -> None:
                 query.predicate, stored.partition_attributes,
                 crossbars_per_page, peek=True,
             )
-            cold = RelationStatistics(
-                statistics.zonemaps, statistics.selectivity,
-                semantic_cache=False,
-            ).plan(
+            cold = statistics.cold_plan(
                 query.predicate, stored.partition_attributes,
                 crossbars_per_page,
             )
@@ -239,7 +235,7 @@ def test_candidate_cache_bit_exact_under_churn(ops, seed):
     for backend in ("packed", "bool"):
         trace = []
         for shards in (1, 4):
-            service = QueryService(vectorized=True)
+            service = QueryService()
             relation = _churn_relation(seed)
             if shards == 1:
                 system = DEFAULT_CONFIG.with_backend(backend)
