@@ -20,22 +20,30 @@ number or stored bit:
   result after ``k-1`` clears.  Each combine program's remote-transfer
   bits enter the batch as a *private* kernel input.
 
-* **One field decode per aggregate.**  The aggregation circuit's
-  functional result is ``aggregate_reference`` over a decoded field and
-  the subgroup mask; the field does not change between subgroups, so the
-  packed bank's decode cache (:meth:`~repro.pim.packed.PackedCrossbarBank.read_field_all`)
-  serves every subgroup after the first from one decode.
+* **One pass over the member rows per aggregate.**  The aggregation
+  circuit's functional result is ``aggregate_reference`` over a decoded
+  field and the subgroup mask.  The field does not change during the
+  group-by, so it is decoded once, and every subgroup's per-crossbar
+  partials come from one segmented reduction over the sorted member rows
+  of all subgroups (:func:`~repro.pim.arithmetic.aggregate_members`),
+  O(selected rows + subgroups x crossbars) per aggregate instead of one
+  masked O(slots) reduction per subgroup and aggregate.
 
-* **A cheap charging replay.**  Modelled statistics are *order-sensitive*
-  (float accumulation, per-phase power samples, request rounding), so a
-  single summed charge cannot be bit-identical.  Instead the loop below
-  replays, per subgroup, the exact charging calls of the reference path in
-  the exact order — through the same :func:`apply_program` /
-  :func:`apply_program_pruned` contract, the same transfer model and the
-  charge-only circuit twin — while all expensive functional work stays
-  batched.  The stored bits, dirty marks, wear counters and ``PimStats``
-  are identical to per-subgroup dispatch by construction; the lockstep
-  property test asserts it.
+* **Charges replayed per subgroup; bits, partials and wear done once.**
+  Modelled statistics are *order-sensitive* (float accumulation,
+  per-phase power samples, request rounding), so a single summed charge
+  cannot be bit-identical.  The loop below therefore replays, per
+  subgroup and in the reference order, only the charges: the pruned
+  program charge shared with :meth:`~repro.pim.controller.PimExecutor.run_program_pruned`,
+  the unpruned program charge, the transfer charge and the charge-only
+  circuit twin.  Everything functional happens once per query: each column
+  the loop writes is written once with the value the reference's last
+  write leaves (the filter column holds the query filter minus every
+  subgroup), dirty marks are set once, the zone-map invariant is checked
+  once over the union of the subgroup masks, and the wear the reference
+  accumulates write by write is added as totals.  Rows, stored bits, dirty
+  marks, wear and ``PimStats`` equal per-subgroup dispatch; the lockstep
+  tests assert it.
 """
 
 from __future__ import annotations
@@ -48,11 +56,11 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.core.sampling import GroupKey
-from repro.core.stages import apply_program, apply_program_pruned, candidate_rows
+from repro.core.stages import _check_pruned_bits, candidate_rows
 from repro.db.query import Query
 from repro.host.aggregator import combine_partials
 from repro.host.readpath import HostReadModel
-from repro.pim.arithmetic import aggregate_reference
+from repro.pim.arithmetic import aggregate_members
 from repro.pim.controller import PimExecutor
 from repro.pim.fused import BatchKernel, compile_batch
 from repro.pim.ir import lower_program_batch
@@ -227,7 +235,8 @@ def run_group_by_batched(
     read_model: HostReadModel,
     prune=None,
 ) -> dict[GroupKey, dict[str, int]]:
-    """pim-gb over ``keys`` with batched kernels and a charging replay.
+    """pim-gb over ``keys``: batched kernels, once-per-query functional work
+    and a per-subgroup charge replay.
 
     Bit-identical with the per-subgroup reference loop of
     :meth:`PimQueryEngine._execute_group_by` — result rows, stored bits,
@@ -238,11 +247,7 @@ def run_group_by_batched(
     compiler = engine.compiler
     group_attributes = list(query.group_by)
     primary_layout = stored.layouts[primary]
-    primary_allocation = stored.allocations[primary]
-    bank = primary_allocation.bank
-
-    def pages_for(partition: int) -> float:
-        return stored.allocations[partition].pages * engine.timing_scale
+    bank = stored.allocations[primary].bank
 
     # The reference builds its per-partition split by iterating the key's
     # group values in attribute order; reproduce the same partition order.
@@ -257,8 +262,8 @@ def run_group_by_batched(
         return {name: mapping[name] for name in names}
 
     # ---------------------------------------------- batched mask computation
-    # All of this runs against the pre-group-by column state, before the
-    # charging replay performs any writes.
+    # All of this runs against the pre-group-by column state, before any of
+    # the writes below.
     remote_programs: dict[int, tuple[Program, ...]] = {}
 
     def remote_batch(partition: int) -> list[np.ndarray]:
@@ -316,9 +321,10 @@ def run_group_by_batched(
         stored, primary, combine_programs, private_columns, private, prune
     )
 
-    # ------------------------------------------------- batched bookkeeping
-    # Subgroup membership of the selected rows is derived in one gather
-    # instead of one column sweep per key.
+    # ------------------------------------------------------ functional work
+    # Everything the reference loop leaves behind is produced once per
+    # query: the subgroups' partials, the final contents and dirty marks of
+    # every column the loop writes, and the summed wear.
     selected = np.nonzero(mask)[0]
     if selected.size:
         columns = [
@@ -329,118 +335,256 @@ def run_group_by_batched(
     else:
         present_keys = set()
 
+    # The zone-map invariant holds for every subgroup mask, and for every
+    # filter state the clears leave, exactly when it holds for the union of
+    # the subgroups and the filter (the reference checks each write).
+    union = _union(mask_bits, stored.num_records)
+    if prune is not None:
+        _check_pruned_bits(
+            union | mask, prune.candidates[primary], stored.allocations[primary]
+        )
+        for partition in remote_partitions:
+            _check_pruned_bits(
+                _union(remote_group_bits[partition], stored.num_records),
+                prune.candidates[partition], stored.allocations[partition],
+            )
+
     fold_programs = _build_fold_programs(primary_layout, len(remote_partitions))
     clear_program = _build_clear_program(primary_layout)
+    group_column = primary_layout.group_column
+    effects = _GroupByEffects(stored, engine.timing_scale, prune)
+    # Pruned programs clear a column's stale crossbars on its first
+    # application only: every pruned write leaves exactly the candidates
+    # dirty.  Both the charge and the +1 wear are taken from the state
+    # before the group-by.
+    for partition in remote_partitions:
+        effects.note_stale(partition, stored.layouts[partition].group_column)
+    effects.note_stale(primary, group_column)
+    effects.note_stale(primary, primary_layout.filter_column)
+
+    subgroups = len(keys)
+    for partition in remote_partitions:
+        effects.add_wear(
+            partition,
+            sum(int(program.writes_per_row) for program in remote_programs[partition]),
+        )
+    # One bit-column write per remote transfer, into the whole remote column.
+    effects.add_wear(primary, subgroups * len(remote_partitions), pruned=False)
+    for fold_program, destination in fold_programs:
+        effects.add_wear(
+            primary, subgroups * int(fold_program.writes_per_row),
+            pruned=destination == group_column,
+        )
+    effects.add_wear(
+        primary, sum(int(program.writes_per_row) for program in combine_programs)
+    )
+    effects.add_wear(primary, subgroups * int(clear_program.writes_per_row))
+
+    # Subgroup partials: one decode and one segmented reduction per
+    # aggregate over every subgroup's member rows at once.
     accumulator_width = primary_layout.accumulator_width
+    capacity = bank.count * bank.rows
+    member_slots = [np.flatnonzero(bits) for bits in mask_bits]
+    slots = np.concatenate(member_slots)
+    members = np.concatenate([
+        rows_of + index * capacity for index, rows_of in enumerate(member_slots)
+    ])
+    aggregates: list[tuple[int, str, np.ndarray]] = []
+    for aggregate in query.aggregates:
+        if aggregate.op == "count":
+            field_width, operation, values = 1, "sum", None
+        else:
+            field_offset = primary_layout.field_offset(aggregate.attribute)
+            field_width = primary_layout.field_width(aggregate.attribute)
+            operation = aggregate.op
+            field = bank.read_field_all(field_offset, field_width).reshape(-1)
+            values = field[slots]
+        partials = aggregate_members(
+            values, members, (subgroups * bank.count, bank.rows),
+            aggregate.op, accumulator_width,
+        ).reshape(subgroups, bank.count)
+        if primary_idx is not None:
+            partials = partials[:, primary_idx]
+        aggregates.append((field_width, operation, partials))
+    circuit_runs = primary_idx is None or primary_idx.size > 0
+
+    # The stored bits the reference's last writes leave.
+    for partition in remote_partitions:
+        effects.store(
+            partition, stored.layouts[partition].group_column,
+            remote_group_bits[partition][-1],
+        )
+    if len(remote_partitions) == 1:
+        # The transfer's own write: dirty exactly where its bits are set.
+        stored.write_bit_column(
+            primary, primary_layout.remote_column, remote_bits[-1],
+            count_wear=False,
+        )
+    elif remote_partitions:
+        # The last fold, a broadcast even under pruning.
+        fold_bits = remote_bits[-1]
+        if prune is not None:
+            fold_bits = fold_bits & candidate_rows(
+                stored, primary, prune.candidates[primary]
+            )
+        effects.store(primary, primary_layout.remote_column, fold_bits, pruned=False)
+    effects.store(primary, group_column, mask_bits[-1])
+    effects.store(primary, primary_layout.filter_column, mask & ~union)
+    if aggregates and circuit_runs:
+        # Every circuit invocation writes its partials back into row 0.
+        bank.write_field_row(
+            0, primary_layout.result_offset, accumulator_width,
+            aggregates[-1][2][-1], xbars=primary_idx,
+        )
+        # The write above added one invocation's wear; add the others'.
+        row0 = bank.writes_per_row[:, 0]
+        others = (subgroups * len(aggregates) - 1) * accumulator_width
+        if primary_idx is None:
+            row0 += others
+        else:
+            row0[primary_idx] += others
+    effects.apply_wear()
+
+    # ------------------------------------------------- per-subgroup charges
     min_identity = engine.aggregation_stage.min_identity(primary)
-    primary_candidates = prune.candidates[primary] if prune is not None else None
     fraction = 1.0
     if prune is not None:
         fraction = (
-            float(np.count_nonzero(primary_candidates))
-            / primary_allocation.crossbars
+            float(np.count_nonzero(prune.candidates[primary]))
+            / stored.allocations[primary].crossbars
         )
-
-    def replay_apply(partition, program, bits, phase="pim-gb-filter"):
-        """One reference-ordered program charge with known result bits."""
-        if prune is not None:
-            apply_program_pruned(
-                stored, partition, program, executor, phase,
-                pages=pages_for(partition),
-                candidates=prune.candidates[partition],
-                result_bits=bits,
-            )
-        else:
-            apply_program(
-                stored, partition, program, executor, phase,
-                pages=pages_for(partition), result_bits=bits,
-            )
-
-    # --------------------------------------------------- per-subgroup replay
+    primary_candidates = prune.candidates[primary] if prune is not None else None
+    primary_pages = effects.pages[primary]
     rows: dict[GroupKey, dict[str, int]] = {}
-    filter_bits = np.asarray(mask, dtype=bool).copy()
     for index, key in enumerate(keys):
-        # Remote subgroup programs, transfers and folds, in reference order.
-        running: np.ndarray | None = None
         for position, partition in enumerate(remote_partitions):
-            layout = stored.layouts[partition]
-            replay_apply(
-                partition,
-                remote_programs[partition][index],
-                remote_group_bits[partition][index],
-            )
-            transferred = read_model.transfer_bit_column(
-                stored,
-                partition, layout.group_column,
-                primary, primary_layout.remote_column,
-                phase="pim-gb-transfer",
-            )
-            running = transferred if running is None else running & transferred
+            effects.charge(executor, partition, remote_programs[partition][index])
+            read_model.charge_bit_transfer(stored, phase="pim-gb-transfer")
             if fold_programs:
                 fold_program, destination = fold_programs[position]
-                fold_bits = running
-                if prune is not None:
-                    fold_bits = fold_bits & candidate_rows(
-                        stored, primary, primary_candidates
-                    )
-                # The final fold into the remote column stays a broadcast
-                # in the reference; only group-column folds run pruned.
-                if prune is not None and destination == primary_layout.group_column:
-                    replay_apply(primary, fold_program, fold_bits)
-                else:
-                    apply_program(
-                        stored, primary, fold_program, executor,
-                        "pim-gb-filter", pages=pages_for(primary),
-                        result_bits=fold_bits,
-                    )
-
-        # Subgroup mask (combine program) on the primary partition.
-        subgroup_bits = mask_bits[index]
-        replay_apply(primary, combine_programs[index], subgroup_bits)
-        mask_rows = _pad_rows(subgroup_bits, bank)
-
-        # Aggregates from the bank's cached field decodes (the data fields do
-        # not change during the group-by), charged per invocation.
-        entry: dict[str, int | None] = {}
-        for aggregate in query.aggregates:
-            if aggregate.op == "count":
-                field_values = mask_rows.astype(np.uint64)
-                field_width, operation = 1, "sum"
-            else:
-                field_offset = primary_layout.field_offset(aggregate.attribute)
-                field_width = primary_layout.field_width(aggregate.attribute)
-                operation = aggregate.op
-                field_values = bank.read_field_all(field_offset, field_width)
-            partials = aggregate_reference(
-                field_values, mask_rows, operation, accumulator_width
-            )
-            if primary_idx is not None:
-                partials = partials[primary_idx]
-            if primary_idx is None or primary_idx.size:
-                bank.write_field_row(
-                    0, primary_layout.result_offset, accumulator_width,
-                    partials, xbars=primary_idx,
+                effects.charge(
+                    executor, primary, fold_program,
+                    pruned=destination == group_column,
                 )
+        effects.charge(executor, primary, combine_programs[index])
+        entry: dict[str, int | None] = {}
+        for aggregate, (field_width, operation, partials) in zip(
+            query.aggregates, aggregates
+        ):
+            if circuit_runs:
                 executor.charge_aggregation_circuit(
                     bank, field_width,
-                    pages=pages_for(primary),
+                    pages=primary_pages,
                     result_width=accumulator_width,
                     crossbars=primary_candidates,
-                    add_wear=False,
                 )
             read_model.read_aggregation_results(
                 stored, primary, pages_fraction=fraction
             )
+            subgroup = partials[index]
             if aggregate.op == "min":
-                partials = partials[partials != min_identity]
+                subgroup = subgroup[subgroup != min_identity]
             entry[aggregate.name] = combine_partials(
-                [partials], operation, engine.config.host, executor.stats
+                [subgroup], operation, engine.config.host, executor.stats
             )
-
         if key in present_keys:
             rows[key] = engine._finalize_entry(entry, primary)
-
-        # Clear the subgroup from the filter column.
-        filter_bits = filter_bits & ~subgroup_bits
-        replay_apply(primary, clear_program, filter_bits)
+        effects.charge(executor, primary, clear_program)
     return rows
+
+
+def _union(bits: Sequence[np.ndarray], num_records: int) -> np.ndarray:
+    """OR of per-record bit vectors."""
+    union = np.zeros(num_records, dtype=bool)
+    for column in bits:
+        np.logical_or(union, column, out=union)
+    return union
+
+
+class _GroupByEffects:
+    """Per-partition charge, store and wear bookkeeping of one group-by.
+
+    Applies :func:`~repro.core.stages.apply_program`'s and
+    :func:`~repro.core.stages.apply_program_pruned`'s contract split in
+    three: :meth:`store` writes a column's final bits and dirty marks,
+    :meth:`add_wear` sums the program wear the applications cause, and
+    :meth:`charge` charges one application's modelled cost.  Under pruning
+    a program runs on the partition's candidate crossbars unless
+    ``pruned=False`` (a broadcast).
+    """
+
+    def __init__(self, stored, timing_scale: float, prune) -> None:
+        self.stored = stored
+        self.pages = [
+            allocation.pages * timing_scale for allocation in stored.allocations
+        ]
+        #: Per partition: the candidate mask and its size (``None`` unpruned).
+        self._candidates: list[np.ndarray] | None = None
+        self._counts: list[int] = []
+        if prune is not None:
+            self._candidates = [
+                np.asarray(mask, dtype=bool) for mask in prune.candidates
+            ]
+            self._counts = [int(np.count_nonzero(m)) for m in self._candidates]
+        self._clears: dict[tuple[int, int], int] = {}
+        #: Per partition: wear added to every row of every crossbar, and
+        #: per crossbar on top of it.
+        self._whole = [0] * len(stored.allocations)
+        self._per_crossbar = [
+            np.zeros(allocation.crossbars, dtype=np.int64)
+            for allocation in stored.allocations
+        ]
+
+    def candidates(self, partition: int) -> np.ndarray | None:
+        if self._candidates is None:
+            return None
+        return self._candidates[partition]
+
+    def note_stale(self, partition: int, column: int) -> None:
+        """Record the stale crossbars ``column``'s first pruned run clears."""
+        candidates = self.candidates(partition)
+        if candidates is None:
+            return
+        stale = self.stored.column_dirty_mask(partition, column) & ~candidates
+        self._clears[partition, column] = int(np.count_nonzero(stale))
+        self._per_crossbar[partition] += stale
+
+    def add_wear(self, partition: int, writes: int, pruned: bool = True) -> None:
+        candidates = self.candidates(partition)
+        if candidates is None or not pruned:
+            self._whole[partition] += writes
+        else:
+            self._per_crossbar[partition] += candidates * writes
+
+    def apply_wear(self) -> None:
+        """Add the summed wear to the banks."""
+        for partition, allocation in enumerate(self.stored.allocations):
+            extra = self._per_crossbar[partition] + self._whole[partition]
+            if extra.any():
+                allocation.bank.writes_per_row += extra[:, None]
+
+    def store(
+        self, partition: int, column: int, bits: np.ndarray, pruned: bool = True
+    ) -> None:
+        """Write a column's final bits and mark the crossbars it dirtied."""
+        self.stored.write_bit_column(partition, column, bits, count_wear=False)
+        candidates = self.candidates(partition) if pruned else None
+        self.stored.mark_column_dirty(partition, column, candidates)
+
+    def charge(
+        self, executor: PimExecutor, partition: int, program: Program,
+        pruned: bool = True, phase: str = "pim-gb-filter",
+    ) -> None:
+        """Charge one application of ``program`` (no bits, no wear)."""
+        bank = self.stored.allocations[partition].bank
+        candidates = self.candidates(partition)
+        if candidates is None or not pruned:
+            executor.charge_program_cost(
+                bank, program.cycles, self.pages[partition], phase
+            )
+            return
+        executor.charge_pruned_program(
+            bank, program.cycles, self._counts[partition],
+            self.pages[partition], phase,
+            self._clears.pop((partition, program.result_column), 0),
+        )

@@ -545,3 +545,56 @@ def aggregate_reference(
         masked = np.where(mask, values, np.uint64(0))
         return masked.max(axis=1)
     raise ValueError(f"unsupported aggregation {operation!r}")
+
+
+def aggregate_members(
+    member_values: np.ndarray | None,
+    members: np.ndarray,
+    shape: tuple[int, int],
+    operation: str,
+    result_width: int,
+) -> np.ndarray:
+    """:func:`aggregate_reference` of a mask given by its member slots.
+
+    ``members`` holds the sorted flat indices (``crossbar * rows + row``) of
+    the set mask bits of a ``shape = (count, rows)`` bank and
+    ``member_values`` the field value of each (unused by ``count``).  The
+    result equals ``aggregate_reference(values, mask, operation,
+    result_width)`` for ``mask.reshape(-1)[members] = True`` and
+    ``member_values = values.reshape(-1)[members]``, at O(members + count)
+    cost instead of O(count x rows): sums wrap in uint64 and are truncated
+    like the accumulator's, and a min leaves the all-ones identity on
+    crossbars without members (and folds it in on partly covered ones).
+    Disjoint masks batch into one call by offsetting each one's slots by a
+    multiple of the bank size and stacking the shape.
+    """
+    count, rows = shape
+    limit = np.uint64((1 << result_width) - 1) if result_width < 64 else np.uint64(2**64 - 1)
+    if operation not in ("sum", "count", "min", "max"):
+        raise ValueError(f"unsupported aggregation {operation!r}")
+    identity = limit if operation == "min" else np.uint64(0)
+    result = np.full(count, identity, dtype=np.uint64)
+    members = np.asarray(members, dtype=np.int64)
+    if members.size == 0:
+        return result
+    crossbars = members // rows
+    starts = np.flatnonzero(np.diff(crossbars, prepend=-1))
+    touched = crossbars[starts]
+    sizes = np.diff(starts, append=members.size)
+    if operation == "count":
+        result[touched] = sizes.astype(np.uint64) & limit
+        return result
+    values = np.asarray(member_values, dtype=np.uint64)
+    if operation == "sum":
+        sums = np.add.reduceat(values, starts, dtype=np.uint64)
+        result[touched] = sums & limit
+    elif operation == "min":
+        mins = np.minimum.reduceat(values, starts)
+        # The reference masks non-members with the identity, so a crossbar
+        # with any non-member row folds it into the minimum.
+        partial = sizes < rows
+        mins[partial] = np.minimum(mins[partial], limit)
+        result[touched] = mins
+    else:
+        result[touched] = np.maximum.reduceat(values, starts)
+    return result

@@ -42,6 +42,13 @@ from repro.pim.logic import Program
 from repro.pim.stats import PimStats
 
 
+def _stale_idx(clear_crossbars: np.ndarray | None) -> np.ndarray:
+    """Indexes of the skipped-but-stale crossbars a pruned run must clear."""
+    if clear_crossbars is None:
+        return np.zeros(0, dtype=np.int64)
+    return np.nonzero(np.asarray(clear_crossbars, dtype=bool))[0]
+
+
 class PimExecutor:
     """Executes PIM operations on a crossbar bank and accounts for them."""
 
@@ -196,17 +203,45 @@ class PimExecutor:
         if program.result_column is None:
             raise ValueError("pruned execution needs a program result column")
         candidate_idx = np.nonzero(np.asarray(candidates, dtype=bool))[0]
+        clear_idx = _stale_idx(clear_crossbars)
         if candidate_idx.size:
             if self.batched:
                 program.run_fused(bank, candidate_idx)
             else:
                 program.execute_at(bank, candidate_idx)
+        bank.set_column_at(program.result_column, False, clear_idx)
+        self.charge_pruned_program(
+            bank, program.cycles, candidate_idx.size, pages, phase,
+            clear_idx.size, clear_phase,
+        )
+
+    def charge_pruned_program(
+        self,
+        bank: CrossbarBank,
+        cycles: int,
+        candidates: int,
+        pages: float,
+        phase: str,
+        clears: int = 0,
+        clear_phase: str = "prune-clear",
+    ) -> None:
+        """The modelled cost of one pruned program run, without wear.
+
+        ``candidates`` crossbars run the ``cycles``-cycle program and
+        ``clears`` stale crossbars receive the single-cycle column clear;
+        each share is charged as that fraction of the ``pages`` broadcast.
+        This is the one definition of the pruned charge: the gate-level
+        run, its vectorized twin and the batched group-by's charge replay
+        all go through it.
+        """
+        if candidates:
             self._charge_program(
-                bank, program.cycles,
-                pages * candidate_idx.size / bank.count, phase,
+                bank, cycles, pages * candidates / bank.count, phase
             )
-        self._clear_stale(bank, program.result_column, clear_crossbars,
-                          pages, clear_phase)
+        if clears:
+            self._charge_program(
+                bank, 1, pages * clears / bank.count, clear_phase
+            )
 
     def charge_pruned_program_cost(
         self,
@@ -226,17 +261,14 @@ class PimExecutor:
         identical stored bits, identical modelled cost.
         """
         candidate_idx = np.nonzero(np.asarray(candidates, dtype=bool))[0]
+        clear_idx = _stale_idx(clear_crossbars)
+        self.charge_pruned_program(
+            bank, program.cycles, candidate_idx.size, pages, phase,
+            clear_idx.size, clear_phase,
+        )
         if candidate_idx.size:
-            self._charge_program(
-                bank, program.cycles,
-                pages * candidate_idx.size / bank.count, phase,
-            )
             bank.writes_per_row[candidate_idx] += int(program.writes_per_row)
-        if clear_crossbars is not None and clear_crossbars.any():
-            clear_idx = np.nonzero(clear_crossbars)[0]
-            self._charge_program(
-                bank, 1, pages * clear_idx.size / bank.count, clear_phase
-            )
+        if clear_idx.size:
             bank.writes_per_row[clear_idx] += 1
 
     def run_program_at(
@@ -290,23 +322,6 @@ class PimExecutor:
             pages * candidate_idx.size / bank.count, phase,
         )
         bank.writes_per_row[candidate_idx] += int(program.writes_per_row)
-
-    def _clear_stale(
-        self,
-        bank: CrossbarBank,
-        column: int,
-        clear_crossbars: np.ndarray | None,
-        pages: float,
-        clear_phase: str,
-    ) -> None:
-        """Single-cycle column clear of skipped-but-stale crossbars."""
-        if clear_crossbars is None or not clear_crossbars.any():
-            return
-        clear_idx = np.nonzero(clear_crossbars)[0]
-        bank.set_column_at(column, False, clear_idx)
-        self._charge_program(
-            bank, 1, pages * clear_idx.size / bank.count, clear_phase
-        )
 
     # ---------------------------------------------------- aggregation circuit
     def aggregate_with_circuit(
@@ -389,18 +404,14 @@ class PimExecutor:
         phase: str = "pim-agg",
         result_width: int | None = None,
         crossbars: np.ndarray | None = None,
-        add_wear: bool = True,
     ) -> None:
         """Charge-only twin of :meth:`aggregate_with_circuit`.
 
-        The batched group-by path computes every subgroup's aggregates from
-        the bank's decode of the field (cached by the packed bank across
-        subgroups), then replays the modelled cost of each
-        circuit invocation through here — identical time, energy, power
-        samples, request counts and (with ``add_wear``) the ``result_width``
-        write-back wear on row 0 that the reference's ``write_field_row``
-        causes.  Pass ``add_wear=False`` for the one invocation whose result
-        is also written back functionally (the write itself charges wear).
+        The batched group-by path computes every subgroup's aggregates in
+        one pass and writes the last result back itself, then replays the
+        modelled cost of each circuit invocation through here — identical
+        time, energy, power samples and request counts.  The row-0
+        write-back wear is the caller's to add.
         """
         if not self._pim.aggregation_circuit.enabled:
             raise RuntimeError(
@@ -411,16 +422,10 @@ class PimExecutor:
         circuit = self._pim.aggregation_circuit
         if result_width is None:
             result_width = min(64, field_width + int(math.ceil(math.log2(xbar.rows))))
-        if crossbars is None:
-            if add_wear:
-                bank.writes_per_row[:, 0] += int(result_width)
-        else:
-            candidate_idx = np.nonzero(np.asarray(crossbars, dtype=bool))[0]
-            active = int(candidate_idx.size)
+        if crossbars is not None:
+            active = int(np.count_nonzero(crossbars))
             if active == 0:
                 return
-            if add_wear:
-                bank.writes_per_row[candidate_idx, 0] += int(result_width)
             pages = pages * active / bank.count
 
         reads_per_row = int(math.ceil(field_width / xbar.read_width_bits))

@@ -2,19 +2,23 @@
 
 The batched strategy (``execution="batched"``, the default) evaluates every
 PIM-resident subgroup of a GROUP-BY through one multi-output fused kernel
-per vertical partition and then *replays* the per-subgroup charging through
-the same accounting entry points the reference loop uses.  The contract is
-total: identical result rows, bit-identical :class:`PimStats` (full
-dataclass equality — float order, power-sample order, request rounding),
-and identical wear counters in the stored banks.  A hypothesis property
-test drives random data, selectivities, subgroup counts (K=1 and K=4),
-pruning, and one- vs two-partition layouts through batched and per-subgroup
-dispatch in lock step on both backends; deterministic tests pin the
-multi-remote fold path, the nested-safe scatter pool, the structural
-whole-plan memo key, the pre-scatter empty-shard skip, and the lifetime of
-the batch-kernel memo.
+per vertical partition, does the functional work (partials, stored bits,
+dirty marks, wear) once per query and replays only the per-subgroup
+charges, in the reference order.  The contract is total: identical result
+rows, bit-identical :class:`PimStats` (full dataclass equality — float
+order, power-sample order, request rounding), identical wear counters,
+identical non-scratch stored columns and identical column dirty marks.  A
+hypothesis property test drives random data, selectivities, subgroup
+counts (K=1 and K=4), pruning, and one- vs two-partition layouts through
+batched and per-subgroup dispatch in lock step on both backends, and a
+query-sequence test checks the same after each of three queries on one
+store; deterministic tests pin the multi-remote fold path, the zone-map
+invariant, the one-write-per-column property, the nested-safe scatter
+pool, the structural whole-plan memo key, the pre-scatter empty-shard
+skip, and the lifetime of the batch-kernel memo.
 """
 
+import dataclasses
 import gc
 import re
 import threading
@@ -73,7 +77,9 @@ def _relation(seed: int, num_cities: int, records: int = 384) -> Relation:
     })
 
 
-def _execute(relation, query, backend, strategy, pruning, partitions):
+def _execute(relation, queries, backend, strategy, pruning, partitions):
+    """Run ``queries`` in turn on one store; per query its execution and the
+    stored state it leaves."""
     config = DEFAULT_CONFIG.with_backend(backend).with_execution(strategy)
     stored = StoredRelation(
         relation, PimModule(config), label="batch",
@@ -83,38 +89,66 @@ def _execute(relation, query, backend, strategy, pruning, partitions):
         stored, config=config, cost_model=all_pim_cost_model(),
         vectorized=False, pruning=pruning,
     )
-    execution = engine.execute(query)
-    return execution, stored.wear_snapshot()
+    return [(engine.execute(query), _stored_state(stored)) for query in queries]
 
 
-def _assert_lockstep(relation, query, pruning, partitions):
-    """batched == dispatch on both backends: rows, full stats, wear."""
-    executions = {}
+def _stored_state(stored):
+    """Per partition: wear, every non-scratch column's bits, dirty marks."""
+    state = []
+    for layout, allocation, dirty in zip(
+        stored.layouts, stored.allocations, stored._column_dirty
+    ):
+        bank = allocation.bank
+        scratch = set(layout.scratch_columns)
+        kept = [c for c in range(layout.columns) if c not in scratch]
+        if bank.backend == "packed":
+            columns = bank.words[:, kept]
+        else:
+            columns = bank.bits[:, :, kept]
+        state.append((
+            bank.wear_snapshot(),
+            columns.copy(),
+            {column: mask.copy() for column, mask in dirty.items()},
+        ))
+    return state
+
+
+def _assert_same_state(ours, theirs):
+    for (wear, columns, dirty), (wear_, columns_, dirty_) in zip(ours, theirs):
+        assert np.array_equal(wear, wear_)
+        assert np.array_equal(columns, columns_)
+        assert dirty.keys() == dirty_.keys()
+        for column, mask in dirty.items():
+            assert np.array_equal(mask, dirty_[column]), column
+
+
+def _assert_lockstep(relation, queries, pruning, partitions):
+    """batched == dispatch on both backends after every query of a sequence
+    on one store: rows, full stats, wear, non-scratch stored columns and
+    column dirty marks."""
+    runs = {}
     for backend in BACKENDS:
         for strategy in STRATEGIES:
-            executions[backend, strategy] = _execute(
-                relation, query, backend, strategy, pruning, partitions
+            runs[backend, strategy] = _execute(
+                relation, queries, backend, strategy, pruning, partitions
             )
     for backend in BACKENDS:
-        batched, batched_wear = executions[backend, "batched"]
-        dispatch, dispatch_wear = executions[backend, "dispatch"]
-        assert batched.rows == dispatch.rows
-        assert batched.pim_subgroups == dispatch.pim_subgroups
-        # Every subgroup went through the PIM kernels (the forced plan).
-        assert batched.pim_subgroups == batched.total_subgroups
-        # Full dataclass equality: per-phase floats, energy components,
-        # counters, power-sample order, wear maxima.
-        assert batched.stats == dispatch.stats
-        for ours, theirs in zip(batched_wear, dispatch_wear):
-            assert np.array_equal(ours, theirs)
-    assert (
-        executions["packed", "batched"][0].rows
-        == executions["bool", "batched"][0].rows
-    )
-    assert (
-        executions["packed", "batched"][0].stats
-        == executions["bool", "batched"][0].stats
-    )
+        for (batched, state), (dispatch, dispatch_state) in zip(
+            runs[backend, "batched"], runs[backend, "dispatch"]
+        ):
+            assert batched.rows == dispatch.rows
+            assert batched.pim_subgroups == dispatch.pim_subgroups
+            # Every subgroup went through the PIM kernels (the forced plan).
+            assert batched.pim_subgroups == batched.total_subgroups
+            # Full dataclass equality: per-phase floats, energy components,
+            # counters, power-sample order, wear maxima.
+            assert batched.stats == dispatch.stats
+            _assert_same_state(state, dispatch_state)
+    for (packed, _), (boolean, _) in zip(
+        runs["packed", "batched"], runs["bool", "batched"]
+    ):
+        assert packed.rows == boolean.rows
+        assert packed.stats == boolean.stats
 
 
 GROUP_QUERY = Query(
@@ -134,19 +168,39 @@ GROUP_QUERY = Query(
 )
 def test_batched_lockstep_with_dispatch(seed, threshold, num_cities, pruning, split):
     """Random data/selectivity: batched == per-subgroup dispatch, bit for bit."""
-    relation = _relation(seed, num_cities)
+    relation = _relation(seed, num_cities, records=3000)
     query = Query(
         "grouped", Comparison("key", "<", threshold),
         GROUP_QUERY.aggregates, group_by=("city",),
     )
     partitions = [["key", "value"], ["city", "region"]] if split else None
-    _assert_lockstep(relation, query, pruning, partitions)
+    _assert_lockstep(relation, [query], pruning, partitions)
+
+
+@pytest.mark.parametrize("seed", [3, 4, 5])
+@pytest.mark.parametrize("pruning", [False, True])
+@pytest.mark.parametrize("split", [False, True])
+def test_batched_lockstep_over_a_query_sequence(seed, pruning, split):
+    """Later queries start from the dirty marks and bits earlier ones left,
+    so the first subgroup's stale clear sees a non-trivial state.  The
+    sorted keys span three crossbars, so the three predicates prune to
+    different candidate sets."""
+    relation = _relation(seed, num_cities=4, records=3000)
+    queries = [
+        Query(
+            "grouped", Comparison("key", "<", threshold),
+            GROUP_QUERY.aggregates, group_by=("city",),
+        )
+        for threshold in (900, 200, 600)
+    ]
+    partitions = [["key", "value"], ["city", "region"]] if split else None
+    _assert_lockstep(relation, queries, pruning, partitions)
 
 
 @pytest.mark.parametrize("pruning", [False, True])
 def test_batched_lockstep_multi_remote_fold(pruning):
     """Two remote partitions: the batched equality-fold replay is bit-exact."""
-    relation = _relation(seed=11, num_cities=4)
+    relation = _relation(seed=11, num_cities=4, records=3000)
     query = Query(
         "folded",
         And((Comparison("key", "<", 700), Comparison("key", ">=", 40))),
@@ -154,7 +208,96 @@ def test_batched_lockstep_multi_remote_fold(pruning):
         group_by=("city", "region"),
     )
     partitions = [["key", "value"], ["city"], ["region"]]
-    _assert_lockstep(relation, query, pruning, partitions)
+    _assert_lockstep(relation, [query], pruning, partitions)
+
+
+def _batched_engine(relation, pruning, partitions=None):
+    config = DEFAULT_CONFIG.with_execution("batched")
+    stored = StoredRelation(
+        relation, PimModule(config), label="batch",
+        partitions=partitions, aggregation_width=22,
+    )
+    return PimQueryEngine(
+        stored, config=config, cost_model=all_pim_cost_model(),
+        vectorized=True, pruning=pruning,
+    )
+
+
+@pytest.mark.parametrize("kernel_ignores_pruning", [False, True])
+def test_batched_raises_when_bits_fall_outside_the_candidates(
+    monkeypatch, kernel_ignores_pruning
+):
+    """A crossbar the zone maps dropped although it holds selected rows
+    breaks the conservative-statistics invariant: the batched group-by
+    refuses to run rather than silently losing rows.  The dropped crossbar
+    keeps filter bits; with the kernel also evaluating every crossbar, the
+    subgroup masks land on it too."""
+    original = batched.run_group_by_batched
+
+    def corrupted(engine, query, primary, mask, keys, executor, read_model,
+                  prune=None):
+        candidates = [np.array(c, dtype=bool) for c in prune.candidates]
+        hit = np.flatnonzero(mask)[0] // engine.stored.rows_per_crossbar
+        candidates[primary][hit] = False
+        prune = dataclasses.replace(prune, candidates=candidates)
+        return original(engine, query, primary, mask, keys, executor,
+                        read_model, prune=prune)
+
+    monkeypatch.setattr(batched, "run_group_by_batched", corrupted)
+    if kernel_ignores_pruning:
+        monkeypatch.setattr(
+            batched, "_candidate_idx",
+            lambda prune, partition: None if prune is None else np.arange(
+                len(prune.candidates[partition])
+            ),
+        )
+    engine = _batched_engine(_relation(seed=6, num_cities=4), pruning=True)
+    query = Query(
+        "grouped", Comparison("key", "<", 300),
+        GROUP_QUERY.aggregates, group_by=("city",),
+    )
+    with pytest.raises(RuntimeError, match="conservative-maintenance invariant"):
+        engine.execute(query)
+
+
+@pytest.mark.parametrize("pruning", [False, True])
+@pytest.mark.parametrize("split", [False, True])
+def test_batched_writes_each_column_once_whatever_the_subgroup_count(
+    monkeypatch, pruning, split
+):
+    """The group-by's bit-column writes do not grow with the subgroups."""
+    calls = {"inside": False, "writes": 0}
+    write = StoredRelation.write_bit_column
+    original = batched.run_group_by_batched
+
+    def counting_write(self, *args, **kwargs):
+        calls["writes"] += calls["inside"]
+        return write(self, *args, **kwargs)
+
+    def inside(*args, **kwargs):
+        calls["inside"] = True
+        try:
+            return original(*args, **kwargs)
+        finally:
+            calls["inside"] = False
+
+    monkeypatch.setattr(StoredRelation, "write_bit_column", counting_write)
+    monkeypatch.setattr(batched, "run_group_by_batched", inside)
+    partitions = [["key", "value"], ["city", "region"]] if split else None
+    query = Query(
+        "grouped", Comparison("key", "<", 800),
+        GROUP_QUERY.aggregates, group_by=("city",),
+    )
+    writes = {}
+    for num_cities in (1, 4):
+        engine = _batched_engine(
+            _relation(seed=8, num_cities=num_cities), pruning, partitions
+        )
+        calls["writes"] = 0
+        execution = engine.execute(query)
+        assert execution.pim_subgroups == num_cities
+        writes[num_cities] = calls["writes"]
+    assert writes[1] == writes[4] > 0
 
 
 def test_batched_is_the_default_and_gated_on_the_circuit(monkeypatch):

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.pim.arithmetic import BulkAggregationPlan, build_ripple_add, build_subtract
+from repro.pim.arithmetic import (
+    BulkAggregationPlan,
+    aggregate_members,
+    aggregate_reference,
+    build_ripple_add,
+    build_subtract,
+)
 from repro.pim.crossbar import CrossbarBank
 from repro.pim.logic import ProgramBuilder
 from repro.pim.packed import make_bank
@@ -99,3 +105,64 @@ def test_gate_level_reduction_equals_functional_reduction(case, backend):
     else:
         expected = int(chosen.max()) if chosen.size else 0
     assert int(gate[0]) == expected
+
+
+@st.composite
+def member_cases(draw):
+    """A bank of values, a mask (possibly empty, with member-less crossbars)
+    and an accumulator width below 64 (wrapping) or equal to it."""
+    count = draw(st.integers(1, 5))
+    rows = draw(st.integers(1, 8))
+    value_bits = draw(st.sampled_from([4, 20, 64]))
+    values = draw(st.lists(
+        st.integers(0, (1 << value_bits) - 1),
+        min_size=count * rows, max_size=count * rows,
+    ))
+    density = draw(st.sampled_from([0.0, 0.3, 1.0]))
+    mask = draw(st.lists(
+        st.floats(0, 1).map(lambda u: u < density),
+        min_size=count * rows, max_size=count * rows,
+    ))
+    width = draw(st.sampled_from([1, 5, 22, 63, 64]))
+    return (
+        np.array(values, dtype=np.uint64).reshape(count, rows),
+        np.array(mask, dtype=bool).reshape(count, rows),
+        width,
+    )
+
+
+@pytest.mark.parametrize("operation", ["sum", "count", "min", "max"])
+@settings(max_examples=60, deadline=None)
+@given(case=member_cases())
+def test_member_aggregation_equals_reference(case, operation):
+    """The one-pass member reduction equals the masked per-crossbar one."""
+    values, mask, width = case
+    members = np.flatnonzero(mask)
+    ours = aggregate_members(
+        values.reshape(-1)[members], members, values.shape, operation, width
+    )
+    expected = aggregate_reference(values, mask, operation, width)
+    assert ours.dtype == np.uint64
+    assert np.array_equal(ours, expected)
+
+
+@pytest.mark.parametrize("operation", ["sum", "count", "min", "max"])
+@settings(max_examples=30, deadline=None)
+@given(case=member_cases(), split=st.integers(0, 40))
+def test_member_aggregation_batches_disjoint_masks(case, operation, split):
+    """Two disjoint masks reduced in one stacked call equal two calls."""
+    values, mask, width = case
+    members = np.flatnonzero(mask)
+    parts = [members[:split], members[split:]]
+    flat = values.reshape(-1)
+    count, rows = values.shape
+    stacked = np.concatenate(
+        [part + index * values.size for index, part in enumerate(parts)]
+    )
+    together = aggregate_members(
+        flat[stacked % values.size], stacked, (2 * count, rows),
+        operation, width,
+    ).reshape(2, count)
+    for index, part in enumerate(parts):
+        alone = aggregate_members(flat[part], part, values.shape, operation, width)
+        assert np.array_equal(together[index], alone)
